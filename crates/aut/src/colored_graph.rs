@@ -114,21 +114,30 @@ impl ColoredGraph {
 
     /// Returns `true` if `perm` (an image table) is a color- and
     /// adjacency-preserving automorphism.
+    ///
+    /// Only the moved vertices are examined: an edge between two fixed
+    /// vertices maps to itself, and every other edge is checked from a
+    /// moved endpoint. Mapping the edge set into itself is enough, since
+    /// `perm` is a bijection.
     pub fn is_automorphism(&self, perm: &crate::Permutation) -> bool {
         if perm.len() != self.num_vertices() {
             return false;
         }
+        // `mark[x] == v` — `x` is adjacent to the image of `v`.
+        let mut mark = vec![usize::MAX; self.num_vertices()];
         for v in 0..self.num_vertices() {
-            if self.colors[perm.apply(v)] != self.colors[v] {
+            let pv = perm.apply(v);
+            if pv == v {
+                continue;
+            }
+            if self.colors[pv] != self.colors[v] || self.degree(pv) != self.degree(v) {
                 return false;
             }
-            if self.degree(perm.apply(v)) != self.degree(v) {
-                return false;
+            for &x in self.neighbors(pv) {
+                mark[x as usize] = v;
             }
-            for &w in self.neighbors(v) {
-                if !self.has_edge(perm.apply(v), perm.apply(w as usize)) {
-                    return false;
-                }
+            if self.neighbors(v).iter().any(|&w| mark[perm.apply(w as usize)] != v) {
+                return false;
             }
         }
         true

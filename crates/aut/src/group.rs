@@ -1,7 +1,7 @@
 //! The automorphism group driver: stabilizer chain, generators, order.
 
-use crate::refine::{first_non_singleton, individualize, initial_cells, refine};
-use crate::search::{find_automorphism, SearchResult};
+use crate::refine::{Partition, Refiner, Trace};
+use crate::search::{pair, sorted, Budget, SearchResult};
 use crate::{ColoredGraph, Permutation};
 use std::fmt;
 
@@ -210,38 +210,38 @@ pub fn automorphisms(g: &ColoredGraph) -> AutomorphismGroup {
 
 /// Computes the automorphism group with explicit options.
 pub fn automorphisms_with(g: &ColoredGraph, opts: &AutomorphismOptions) -> AutomorphismGroup {
-    let mut pins: Vec<(usize, usize)> = Vec::new();
     let mut generators: Vec<Permutation> = Vec::new();
     let mut base: Vec<usize> = Vec::new();
     let mut level_gens_table: Vec<Vec<usize>> = Vec::new();
     let mut orbit_sizes: Vec<usize> = Vec::new();
     let mut exact = true;
 
-    loop {
-        // Refine under the current base prefix (each base point pinned).
-        let mut cells = initial_cells(g);
-        for &(b, _) in &pins {
-            individualize(&mut cells, b);
-        }
-        refine(g, &mut cells);
-        let Some((_, members)) = first_non_singleton(&cells) else {
-            break;
-        };
-        let base_point = members[0];
-        // Generators found at *this* level (they fix all current pins).
+    // The partition of the current level: equitable, with every base point
+    // so far individualized. Each level refines it once and hands it on.
+    let mut refiner = Refiner::new(g);
+    let mut part = Partition::by_color(g);
+    refiner.refine_all(&mut part);
+    while let Some(cell) = part.first_non_singleton() {
+        let members = sorted(part.cell(cell));
+        let base_point = members[0] as usize;
+        let mut pinned = part.clone();
+        let mut trace = Vec::new();
+        refiner.individualize(&mut pinned, base_point, &mut Trace::Record(&mut trace));
+        // Generators found at *this* level (they fix all earlier base
+        // points).
         let mut level_gens: Vec<Permutation> = Vec::new();
         let mut orbit: std::collections::BTreeSet<usize> =
             orbit_closure(&level_gens, base_point).into_iter().collect();
         for &w in &members[1..] {
+            let w = w as usize;
             if orbit.contains(&w) {
                 continue;
             }
-            let mut search_pins = pins.clone();
-            search_pins.push((base_point, w));
-            match find_automorphism(g, &search_pins, opts.max_nodes_per_search) {
+            let mut budget = Budget { nodes: 0, max_nodes: opts.max_nodes_per_search };
+            match pair(&mut refiner, &pinned, &trace, &part, w, &mut budget) {
                 SearchResult::Found(p) => {
                     debug_assert!(g.is_automorphism(&p));
-                    debug_assert!(pins.iter().all(|&(b, _)| p.apply(b) == b));
+                    debug_assert!(base.iter().all(|&b| p.apply(b) == b));
                     level_gens.push(p);
                     orbit = orbit_closure(&level_gens, base_point).into_iter().collect();
                 }
@@ -256,7 +256,7 @@ pub fn automorphisms_with(g: &ColoredGraph, opts: &AutomorphismOptions) -> Autom
         generators.extend(level_gens);
         level_gens_table.push((start..generators.len()).collect());
         base.push(base_point);
-        pins.push((base_point, base_point));
+        part = pinned;
     }
 
     AutomorphismGroup { generators, base, level_gens: level_gens_table, orbit_sizes, exact }

@@ -6,14 +6,19 @@
 //! color-preserving automorphism group together with the exact group order,
 //! computed along a stabilizer chain by the orbit–stabilizer theorem:
 //!
-//! 1. the vertex partition is refined to equitability (1-dimensional
-//!    Weisfeiler–Leman with the input colors as the initial partition);
+//! 1. the vertex partition, starting from the input colors, is refined to
+//!    equitability as an ordered partition (cells are ranges of one vertex
+//!    array): a splitter queue revisits only the cells a split touches, as
+//!    in nauty and Saucy;
 //! 2. a base point is chosen in the first non-singleton cell; for every
 //!    other vertex of its cell not yet known to be in its orbit, a
 //!    backtracking search (individualization–refinement on a source/target
-//!    partition pair) looks for an automorphism mapping base → candidate;
-//! 3. the base point is pinned and the process recurses into its
-//!    stabilizer; `|Aut| = Π |orbit(bᵢ)|`.
+//!    partition pair, compared by their split traces) looks for an
+//!    automorphism mapping base → candidate, and every candidate is
+//!    verified with [`ColoredGraph::is_automorphism`];
+//! 3. the base point is pinned — its refined partition is carried to the
+//!    next level — and the process recurses into its stabilizer;
+//!    `|Aut| = Π |orbit(bᵢ)|`.
 //!
 //! The search is exact by default and can be budgeted (see
 //! [`AutomorphismOptions`]); Table 2 of the paper reports group orders as

@@ -1,12 +1,12 @@
-//! Backtracking individualization–refinement search for a single
-//! automorphism subject to pinned points.
+//! Backtracking individualization–refinement search for one automorphism
+//! that maps a matched pair of refined partitions onto each other.
 
-use crate::refine::{first_non_singleton, individualize, initial_cells, refine_pair, Cells};
-use crate::{ColoredGraph, Permutation};
+use crate::refine::{Partition, Refiner, Trace};
+use crate::Permutation;
 
-/// Outcome of a pinned search.
+/// Outcome of a search.
 pub(crate) enum SearchResult {
-    /// An automorphism honoring the pins.
+    /// An automorphism mapping the left partition onto the right one.
     Found(Permutation),
     /// Exhaustively proven that none exists.
     None,
@@ -14,120 +14,142 @@ pub(crate) enum SearchResult {
     Exhausted,
 }
 
-/// Searches for a color-preserving automorphism `γ` of `g` with
-/// `γ(source) = target` for every pin, exploring at most `max_nodes` search
-/// nodes.
-///
-/// Pins must be injective on both sides; a pin whose endpoints have
-/// different colors makes the search trivially fail.
-pub(crate) fn find_automorphism(
-    g: &ColoredGraph,
-    pins: &[(usize, usize)],
-    max_nodes: u64,
-) -> SearchResult {
-    let mut a = initial_cells(g);
-    let mut b = initial_cells(g);
-    for &(s, t) in pins {
-        if g.color(s) != g.color(t) {
-            return SearchResult::None;
-        }
-        // Matching fresh ids on both sides (partitions have identical cell
-        // counts before each individualization).
-        individualize(&mut a, s);
-        individualize(&mut b, t);
-    }
-    let mut nodes = 0u64;
-    recurse(g, a, b, &mut nodes, max_nodes)
+/// Node budget of one search, shared by all nodes below its root.
+pub(crate) struct Budget {
+    /// Nodes visited so far.
+    pub(crate) nodes: u64,
+    /// Nodes allowed.
+    pub(crate) max_nodes: u64,
 }
 
-fn recurse(
-    g: &ColoredGraph,
-    mut a: Cells,
-    mut b: Cells,
-    nodes: &mut u64,
-    max_nodes: u64,
+/// Searches for an automorphism `γ` with `γ(left) = right` cell for cell,
+/// where `right` is `parent` with `w` individualized and `left` is
+/// `parent` with some vertex of `w`'s cell individualized, refined with
+/// split trace `trace`. The pair `(left, right)` is one search node.
+pub(crate) fn pair(
+    refiner: &mut Refiner,
+    left: &Partition,
+    trace: &[u32],
+    parent: &Partition,
+    w: usize,
+    budget: &mut Budget,
 ) -> SearchResult {
-    *nodes += 1;
-    if *nodes > max_nodes {
+    budget.nodes += 1;
+    if budget.nodes > budget.max_nodes {
         return SearchResult::Exhausted;
     }
-    if !refine_pair(g, &mut a, &mut b) {
+    let mut right = parent.clone();
+    if !refiner.individualize(&mut right, w, &mut Trace::check(trace)) {
         return SearchResult::None;
     }
-    match first_non_singleton(&a) {
-        None => {
-            // Both partitions discrete: cells correspond one-to-one.
-            let perm = extract_bijection(&a, &b);
-            match perm {
-                Some(p) if g.is_automorphism(&p) => SearchResult::Found(p),
-                _ => SearchResult::None,
-            }
-        }
-        Some((cell_id, members_a)) => {
-            let members_b: Vec<usize> =
-                (0..g.num_vertices()).filter(|&v| b[v] == cell_id).collect();
-            debug_assert_eq!(members_a.len(), members_b.len());
-            let v = members_a[0];
-            let mut exhausted = false;
-            for &w in &members_b {
-                let mut a2 = a.clone();
-                let mut b2 = b.clone();
-                individualize(&mut a2, v);
-                individualize(&mut b2, w);
-                match recurse(g, a2, b2, nodes, max_nodes) {
-                    SearchResult::Found(p) => return SearchResult::Found(p),
-                    SearchResult::None => {}
-                    SearchResult::Exhausted => {
-                        exhausted = true;
-                        break;
-                    }
-                }
-            }
-            if exhausted {
-                SearchResult::Exhausted
-            } else {
-                SearchResult::None
-            }
-        }
-    }
+    extend(refiner, left, &right, budget)
 }
 
-/// Builds the vertex bijection induced by two corresponding discrete
-/// partitions: the vertex in cell `c` of `a` maps to the vertex in cell `c`
-/// of `b`.
-fn extract_bijection(a: &Cells, b: &Cells) -> Option<Permutation> {
-    let n = a.len();
-    let mut by_cell_b = vec![u32::MAX; n];
-    for (v, &c) in b.iter().enumerate() {
-        let slot = by_cell_b.get_mut(c as usize)?;
-        if *slot != u32::MAX {
-            return None; // not discrete
+/// Extends a matched pair — two partitions with identical split traces —
+/// to an automorphism. The lowest vertex of the first non-singleton cell on
+/// the left is tried against every vertex of the same cell on the right,
+/// lowest first; at a discrete pair the positions give the bijection,
+/// which is verified. Trying candidates in label order lets the first
+/// automorphism found move as little as it can, which keeps generator
+/// supports, and so lex-leader SBPs, small.
+///
+/// Before descending, the pair is checked for the automorphism that
+/// descent would reach first when every non-singleton cell holds the same
+/// vertices on both sides (the shortcut Saucy takes): it maps singletons
+/// position to position and fixes every other vertex.
+pub(crate) fn extend(
+    refiner: &mut Refiner,
+    left: &Partition,
+    right: &Partition,
+    budget: &mut Budget,
+) -> SearchResult {
+    if let Some(p) = completion(left, right) {
+        if refiner.graph().is_automorphism(&p) {
+            return SearchResult::Found(p);
         }
-        *slot = v as u32;
     }
-    let mut images = vec![0u32; n];
-    for (v, &c) in a.iter().enumerate() {
-        let img = *by_cell_b.get(c as usize)?;
-        if img == u32::MAX {
-            return None;
+    let Some(s) = left.first_non_singleton() else {
+        return SearchResult::None;
+    };
+    let v = *left.cell(s).iter().min().expect("cells are non-empty");
+    let mut child = left.clone();
+    let mut trace = Vec::new();
+    refiner.individualize(&mut child, v as usize, &mut Trace::Record(&mut trace));
+    for w in sorted(right.cell(s)) {
+        match pair(refiner, &child, &trace, right, w as usize, budget) {
+            SearchResult::None => {}
+            found_or_exhausted => return found_or_exhausted,
         }
-        images[v] = img;
+    }
+    SearchResult::None
+}
+
+/// The permutation sending each singleton cell of `left` to the same
+/// position of `right` and fixing every vertex of a non-singleton cell;
+/// `None` unless each non-singleton cell holds the same vertices on both
+/// sides.
+fn completion(left: &Partition, right: &Partition) -> Option<Permutation> {
+    let mut images = vec![0u32; left.elems().len()];
+    for (s, cell) in left.cells() {
+        if let [a] = cell {
+            images[*a as usize] = right.elems()[s];
+        } else {
+            for &b in right.cell(s) {
+                if left.cell_of(b as usize) != s {
+                    return None;
+                }
+                images[b as usize] = b;
+            }
+        }
     }
     Permutation::from_images(images)
+}
+
+/// The members of a cell in ascending vertex order.
+pub(crate) fn sorted(cell: &[u32]) -> Vec<u32> {
+    let mut members = cell.to_vec();
+    members.sort_unstable();
+    members
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ColoredGraph;
 
     fn cycle(n: usize) -> ColoredGraph {
         ColoredGraph::from_edges(n, (0..n).map(|i| (i, (i + 1) % n)), None)
     }
 
+    /// Searches for an automorphism honoring `pins`, each pin pair
+    /// individualized on its side in turn.
+    fn pinned(g: &ColoredGraph, pins: &[(usize, usize)], max_nodes: u64) -> SearchResult {
+        let mut refiner = Refiner::new(g);
+        let mut left = Partition::by_color(g);
+        refiner.refine_all(&mut left);
+        let mut right = left.clone();
+        let mut budget = Budget { nodes: 0, max_nodes };
+        for (i, &(s, t)) in pins.iter().enumerate() {
+            if left.cell_of(s) != right.cell_of(t) {
+                return SearchResult::None;
+            }
+            let parent = right.clone();
+            let mut trace = Vec::new();
+            refiner.individualize(&mut left, s, &mut Trace::Record(&mut trace));
+            if i + 1 == pins.len() {
+                return pair(&mut refiner, &left, &trace, &parent, t, &mut budget);
+            }
+            if !refiner.individualize(&mut right, t, &mut Trace::check(&trace)) {
+                return SearchResult::None;
+            }
+        }
+        extend(&mut refiner, &left, &right, &mut budget)
+    }
+
     #[test]
     fn finds_rotation_of_cycle() {
         let g = cycle(5);
-        match find_automorphism(&g, &[(0, 1)], 10_000) {
+        match pinned(&g, &[(0, 1)], 10_000) {
             SearchResult::Found(p) => {
                 assert_eq!(p.apply(0), 1);
                 assert!(g.is_automorphism(&p));
@@ -140,7 +162,7 @@ mod tests {
     fn respects_multiple_pins() {
         let g = cycle(6);
         // Fix 0 and map 1 -> 5: the reflection through vertex 0.
-        match find_automorphism(&g, &[(0, 0), (1, 5)], 10_000) {
+        match pinned(&g, &[(0, 0), (1, 5)], 10_000) {
             SearchResult::Found(p) => {
                 assert_eq!(p.apply(0), 0);
                 assert_eq!(p.apply(1), 5);
@@ -154,21 +176,32 @@ mod tests {
     fn proves_absence_on_path() {
         // Path 0-1-2-3: no automorphism maps an endpoint to an inner vertex.
         let g = ColoredGraph::from_edges(4, [(0, 1), (1, 2), (2, 3)], None);
-        assert!(matches!(find_automorphism(&g, &[(0, 1)], 10_000), SearchResult::None));
+        assert!(matches!(pinned(&g, &[(0, 1)], 10_000), SearchResult::None));
         // 0 -> 3 (the flip) exists.
-        assert!(matches!(find_automorphism(&g, &[(0, 3)], 10_000), SearchResult::Found(_)));
+        assert!(matches!(pinned(&g, &[(0, 3)], 10_000), SearchResult::Found(_)));
+    }
+
+    #[test]
+    fn proves_absence_within_one_cell() {
+        // C3 + C4: one refined cell, but no automorphism maps a triangle
+        // vertex to a square vertex.
+        let mut edges: Vec<(usize, usize)> = (0..3).map(|i| (i, (i + 1) % 3)).collect();
+        edges.extend((0..4).map(|i| (3 + i, 3 + (i + 1) % 4)));
+        let g = ColoredGraph::from_edges(7, edges, None);
+        assert!(matches!(pinned(&g, &[(0, 3)], 10_000), SearchResult::None));
+        assert!(matches!(pinned(&g, &[(0, 2)], 10_000), SearchResult::Found(_)));
     }
 
     #[test]
     fn color_mismatch_fails_fast() {
         let g = ColoredGraph::from_edges(2, [(0, 1)], Some(vec![0, 1]));
-        assert!(matches!(find_automorphism(&g, &[(0, 1)], 10_000), SearchResult::None));
+        assert!(matches!(pinned(&g, &[(0, 1)], 10_000), SearchResult::None));
     }
 
     #[test]
     fn budget_exhaustion_reported() {
         let g = cycle(12);
-        assert!(matches!(find_automorphism(&g, &[(0, 6)], 0), SearchResult::Exhausted));
+        assert!(matches!(pinned(&g, &[(0, 6)], 0), SearchResult::Exhausted));
     }
 
     #[test]
@@ -178,7 +211,7 @@ mod tests {
         // distances from the unique degree-3 vertex, so only the identity
         // survives.
         let g = ColoredGraph::from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)], None);
-        match find_automorphism(&g, &[], 100_000) {
+        match pinned(&g, &[], 100_000) {
             SearchResult::Found(p) => assert!(p.is_identity()),
             _ => panic!("identity always exists"),
         }

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sbgc_aut::{automorphisms, ColoredGraph};
+use sbgc_aut::{automorphisms, automorphisms_with, AutomorphismOptions, ColoredGraph, Permutation};
 
 fn random_colored_graph(n: usize, m: usize, colors: usize, seed: u64) -> ColoredGraph {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -49,10 +49,16 @@ fn brute_force_order(g: &ColoredGraph) -> u128 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The stabilizer-chain order matches brute force on tiny graphs.
+    /// The stabilizer-chain order matches brute force on tiny graphs with
+    /// two to four vertex colors.
     #[test]
-    fn order_matches_brute_force(n in 1usize..7, m in 0usize..12, seed in any::<u64>()) {
-        let g = random_colored_graph(n, m, 2, seed);
+    fn order_matches_brute_force(
+        n in 1usize..9,
+        m in 0usize..16,
+        colors in 2usize..5,
+        seed in any::<u64>(),
+    ) {
+        let g = random_colored_graph(n, m, colors, seed);
         let group = automorphisms(&g);
         prop_assert!(group.is_exact());
         prop_assert_eq!(group.order_u128(), Some(brute_force_order(&g)));
@@ -80,6 +86,17 @@ proptest! {
                 prop_assert!(g.is_automorphism(&a.inverse()));
             }
         }
+    }
+
+    /// Two runs on the same graph return identical generators, base and
+    /// orbit sizes.
+    #[test]
+    fn detection_is_deterministic(n in 2usize..12, m in 0usize..24, seed in any::<u64>()) {
+        let g = random_colored_graph(n, m, 2, seed);
+        let (a, b) = (automorphisms(&g), automorphisms(&g));
+        prop_assert_eq!(a.generators(), b.generators());
+        prop_assert_eq!(a.base(), b.base());
+        prop_assert_eq!(a.orbit_sizes(), b.orbit_sizes());
     }
 
     /// Distinct colors on every vertex kill the group.
@@ -158,4 +175,48 @@ fn queen_board_symmetries() {
 
 fn sbgc_graph_to_colored(g: &sbgc_graph::Graph) -> ColoredGraph {
     ColoredGraph::from_edges(g.num_vertices(), g.edges(), None)
+}
+
+#[test]
+fn zero_node_budget_is_inexact() {
+    let cycle = ColoredGraph::from_edges(8, (0..8).map(|i| (i, (i + 1) % 8)), None);
+    let group = automorphisms_with(&cycle, &AutomorphismOptions { max_nodes_per_search: 0 });
+    assert!(!group.is_exact());
+    assert!(group.generators().is_empty());
+    assert!(automorphisms(&cycle).is_exact());
+}
+
+#[test]
+fn degree_split_keeps_endpoints_apart() {
+    // Path 0-1-2: refinement separates the endpoints from the middle.
+    let path = ColoredGraph::from_edges(3, [(0, 1), (1, 2)], None);
+    let group = automorphisms(&path);
+    let mut ends = group.orbit_of(0);
+    ends.sort_unstable();
+    assert_eq!(ends, vec![0, 2]);
+    assert_eq!(group.orbit_of(1), vec![1]);
+}
+
+#[test]
+fn diverging_pairs_never_mix_components() {
+    // C3 + C4 is 2-regular, so refinement alone cannot tell a triangle
+    // vertex from a square vertex; the pair search must.
+    let mut edges: Vec<(usize, usize)> = (0..3).map(|i| (i, (i + 1) % 3)).collect();
+    edges.extend((0..4).map(|i| (3 + i, 3 + (i + 1) % 4)));
+    let g = ColoredGraph::from_edges(7, edges, None);
+    let group = automorphisms(&g);
+    assert_eq!(group.order_u128(), Some(6 * 8));
+    let mut triangle = group.orbit_of(0);
+    triangle.sort_unstable();
+    assert_eq!(triangle, vec![0, 1, 2]);
+}
+
+#[test]
+fn reflection_through_a_pinned_vertex() {
+    // C6: fixing 0 leaves the reflection 1 <-> 5, 2 <-> 4.
+    let g = ColoredGraph::from_edges(6, (0..6).map(|i| (i, (i + 1) % 6)), None);
+    let group = automorphisms(&g);
+    let reflection = Permutation::from_images(vec![0, 5, 4, 3, 2, 1]).expect("valid");
+    assert!(group.contains(&reflection));
+    assert_eq!(group.orbit_sizes(), &[6, 2]);
 }

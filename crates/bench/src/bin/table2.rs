@@ -62,7 +62,7 @@ fn main() {
             }
         }
         println!(
-            "{:<8} {:>9} {:>10} {:>7} | {:>11} {:>6} {:>9} {:>8.1}s{}",
+            "{:<8} {:>9} {:>10} {:>7} | {:>11} {:>6} {:>9} {:>8.3}s{}",
             mode.display_name(),
             vars,
             clauses,

@@ -17,7 +17,8 @@
 //!    group of that graph is computed with `sbgc-aut` (our Saucy
 //!    substitute) and generators are mapped back to permutations of the
 //!    formula's literals, dropping any spurious generator that fails to
-//!    commute with negation.
+//!    commute with negation or to map the formula onto itself (checked
+//!    against an index of the formula's constraints built once).
 //! 3. **SBP generation** ([`add_sbps`]): for each generator a
 //!    lex-leader symmetry-breaking predicate is appended, using the
 //!    efficient linear, tautology-free chain construction of Aloul et al.
