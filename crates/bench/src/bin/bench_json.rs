@@ -57,15 +57,12 @@
 
 use sbgc_bench::{HarnessConfig, QUICK_INSTANCES};
 use sbgc_core::{
-    add_instance_independent_sbps, chromatic_number_by_decision, chromatic_number_incremental,
+    add_instance_independent_sbps, chromatic_number, chromatic_number_by_decision,
     solve_supervised, ColoringEncoding, PreparedColoring, SbpMode, SearchStrategy, SolveOptions,
     SupervisorConfig,
 };
 use sbgc_graph::{gen, suite, Graph};
-use sbgc_pb::{
-    optimize_portfolio_recorded, portfolio_configs, Budget, OptOutcome, Optimizer, Recorder,
-    SolverKind, WorkerTelemetry,
-};
+use sbgc_pb::{Budget, OptOutcome, Optimizer, Recorder, SolverKind, WorkerTelemetry};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -94,14 +91,15 @@ struct RunRecord {
     workers: Vec<String>,
 }
 
-/// Renders one worker's telemetry: which configuration it ran, its share
-/// of the clause traffic, the mean LBD of what it learned, and whether it
-/// produced the winning answer.
+/// Renders one worker's telemetry for one strengthening query: which
+/// configuration it ran, its share of the clause traffic, the mean LBD of
+/// what it learned, and whether it produced the query's answer.
 fn worker_json(w: &WorkerTelemetry) -> String {
     format!(
-        "{{\"index\": {}, \"config\": \"{}\", \"exported\": {}, \"imported\": {}, \
-         \"lbd_mean\": {}, \"won\": {}}}",
+        "{{\"index\": {}, \"query\": {}, \"config\": \"{}\", \"exported\": {}, \
+         \"imported\": {}, \"lbd_mean\": {}, \"won\": {}}}",
         w.index,
+        w.query.map_or("null".to_string(), |q| q.to_string()),
         json_escape(&w.config),
         w.search.exported,
         w.search.imported,
@@ -162,7 +160,7 @@ fn main() {
             let formula = prepared.formula();
 
             let start = Instant::now();
-            let mut opt = Optimizer::new(formula, SolverKind::PbsII);
+            let mut opt = Optimizer::new(formula, SolverKind::PbsII, 1, &Recorder::disabled());
             let seq_out = opt.run(&config.budget());
             let sequential = RunRecord {
                 time: start.elapsed(),
@@ -173,22 +171,22 @@ fn main() {
                 workers: Vec::new(),
             };
 
-            let configs = portfolio_configs(workers);
             let rec = Recorder::new();
             let start = Instant::now();
-            let par_out = optimize_portfolio_recorded(formula, &configs, &config.budget(), &rec)
-                .expect("portfolio_configs is non-empty and the formula has an objective");
+            let mut par = Optimizer::new(formula, SolverKind::PbsII, workers, &rec);
+            let par_out = par.run(&config.budget());
             let elapsed = start.elapsed();
             let mut telemetry = rec.workers();
-            telemetry.sort_by_key(|w| w.index);
+            telemetry.sort_by_key(|w| (w.query, w.index));
             let portfolio = RunRecord {
                 time: elapsed,
-                conflicts: par_out.stats.conflicts,
-                decided: par_out.outcome.is_decided(),
-                colors: par_out.outcome.value(),
+                conflicts: par.stats().conflicts,
+                decided: par_out.is_decided(),
+                colors: par_out.value(),
+                // The worker that answered the last strengthening query.
                 winner: telemetry
                     .iter()
-                    .find(|w| w.won)
+                    .rfind(|w| w.won)
                     .map(|w| format!("worker {}: {}", w.index, w.config)),
                 workers: telemetry.iter().map(worker_json).collect(),
             };
@@ -198,7 +196,7 @@ fn main() {
             if sequential.decided
                 && portfolio.decided
                 && matches!(
-                    (&seq_out, &par_out.outcome),
+                    (&seq_out, &par_out),
                     (OptOutcome::Optimal { .. }, OptOutcome::Optimal { .. })
                 )
                 && sequential.colors != portfolio.colors
@@ -266,7 +264,7 @@ fn main() {
         let rec = Recorder::new();
         let inc_opts = opts.clone().with_recorder(rec.clone());
         let start = Instant::now();
-        let incremental = chromatic_number_incremental(graph, &inc_opts);
+        let incremental = chromatic_number(graph, &inc_opts);
         let incremental_time = start.elapsed();
         let steps = rec.ladder_steps();
         let retained: u64 = steps.iter().map(|s| s.retained_clauses).sum();
@@ -335,7 +333,7 @@ fn main() {
                 .with_budget(Budget::unlimited().with_timeout(ablation_budget))
                 .without_heuristics();
             let start = Instant::now();
-            let result = chromatic_number_incremental(&inst.graph, &opts);
+            let result = chromatic_number(&inst.graph, &opts);
             let time = start.elapsed();
             let chi = result.exact();
 
@@ -396,12 +394,12 @@ fn main() {
         let base =
             SolveOptions::new(config.k).with_sbp_mode(SbpMode::Nu).with_budget(config.budget());
         let start = Instant::now();
-        let exact = chromatic_number_incremental(&inst.graph, &base.clone().without_heuristics());
+        let exact = chromatic_number(&inst.graph, &base.clone().without_heuristics());
         let exact_time = start.elapsed();
 
         let rec = Recorder::new();
         let start = Instant::now();
-        let hybrid = chromatic_number_incremental(&inst.graph, &base.with_recorder(rec.clone()));
+        let hybrid = chromatic_number(&inst.graph, &base.with_recorder(rec.clone()));
         let hybrid_time = start.elapsed();
         let telemetry = rec.heuristics();
 

@@ -863,8 +863,14 @@ mod tests {
         };
         let inst = suite::build("myciel3");
         let report = collect_run_report(&inst, &config);
-        assert_eq!(report.workers.len(), 2);
-        assert_eq!(report.workers.iter().filter(|w| w.won).count(), 1);
+        // One entry per worker per strengthening query, one winner each.
+        let queries = report.workers.iter().filter_map(|w| w.query).max().expect("tagged") + 1;
+        for q in 0..queries {
+            let per_query: Vec<_> = report.workers.iter().filter(|w| w.query == Some(q)).collect();
+            assert_eq!(per_query.len(), 2, "query {q}");
+            assert_eq!(per_query.iter().filter(|w| w.won).count(), 1, "query {q}");
+        }
+        assert_eq!(report.workers.len() as u64, 2 * queries);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! cargo run --release -p sbgc-core --example probe -- queen6_6 SC 3 120
 
 use sbgc_core::{PreparedColoring, SbpMode, SolveOptions};
-use sbgc_pb::{optimize_portfolio, portfolio_configs, Budget};
+use sbgc_pb::{portfolio_configs, Budget, DecisionBackend, Optimizer, PortfolioSession, Recorder};
 use std::time::{Duration, Instant};
 
 fn main() {
@@ -30,13 +30,17 @@ fn main() {
     let configs: Vec<_> = workers.iter().map(|&i| all[i]).collect();
     let budget = Budget::unlimited().with_timeout(Duration::from_secs(timeout));
     let start = Instant::now();
-    let out = optimize_portfolio(formula, &configs, &budget).unwrap();
+    let session = PortfolioSession::new(formula, &configs, &Recorder::disabled()).unwrap();
+    let objective = formula.objective().expect("coloring objective").clone();
+    let mut opt = Optimizer::with_backend(DecisionBackend::Portfolio(session), objective);
+    let value = opt.run(&budget).value();
+    let stats = opt.stats();
     println!(
         "{name} {mode:?} workers {workers:?}: {:?} in {:.2}s, {} conflicts, exported {}, imported {}",
-        out.outcome.value(),
+        value,
         start.elapsed().as_secs_f64(),
-        out.stats.conflicts,
-        out.stats.exported,
-        out.stats.imported,
+        stats.conflicts,
+        stats.exported,
+        stats.imported,
     );
 }

@@ -471,9 +471,9 @@ pub fn certify_result_parallel(
 /// Computes the chromatic number and certifies it in one call.
 ///
 /// Runs [`chromatic_number`] with `options`, then [`certify_result`] under
-/// the same budget — raced across [`SolveOptions::portfolio_workers`]
-/// clause-sharing solvers when the options ask for a portfolio, sequential
-/// otherwise. The certificate is `None` exactly when the search only
+/// the same budget — raced across the
+/// [`portfolio_workers`](sbgc_pb::SolverKind::portfolio_workers) that the
+/// options' solver and parallelism imply, sequential otherwise. The certificate is `None` exactly when the search only
 /// bounded χ.
 ///
 /// # Panics
@@ -485,7 +485,7 @@ pub fn chromatic_number_certified(
     options: &SolveOptions,
 ) -> (ChromaticResult, Option<OptimalityCertificate>) {
     let result = chromatic_number(graph, options);
-    let workers = options.portfolio_workers().unwrap_or(1);
+    let workers = options.solver.portfolio_workers(options.parallelism).unwrap_or(1);
     let certificate = certify_result_parallel(graph, &result, &options.budget, workers);
     (result, certificate)
 }

@@ -123,8 +123,8 @@ mod tests {
 
     #[test]
     fn portfolio_errors_convert() {
-        let e: SolveError = PortfolioError::MissingObjective.into();
-        assert_eq!(e, SolveError::Portfolio(PortfolioError::MissingObjective));
+        let e: SolveError = PortfolioError::NoWorkers.into();
+        assert_eq!(e, SolveError::Portfolio(PortfolioError::NoWorkers));
         use std::error::Error;
         assert!(e.source().is_some());
     }
@@ -163,7 +163,6 @@ mod tests {
             SolveError::EmptyGraph,
             SolveError::ZeroColorBound,
             SolveError::Portfolio(PortfolioError::NoWorkers),
-            SolveError::Portfolio(PortfolioError::MissingObjective),
             SolveError::UnsupportedIncremental,
             SolveError::BoundContradiction { lower: 2, upper: 1, detail: "x".to_string() },
             SolveError::InvalidConfig("watchdog window must be positive".to_string()),

@@ -16,7 +16,9 @@ use crate::sbp::{add_instance_independent_sbps, SbpMode, SbpSizeStats};
 use sbgc_formula::FormulaStats;
 use sbgc_graph::{Coloring, Graph};
 use sbgc_obs::{Phase, Recorder};
-use sbgc_pb::{optimize_recorded_with_stats, Budget, ExhaustReason, OptOutcome, SolverKind};
+use sbgc_pb::{
+    optimize_recorded_with_stats, Budget, ExhaustReason, OptOutcome, Optimizer, SolverKind,
+};
 use sbgc_shatter::{shatter, ShatterOptions, ShatterReport};
 use std::time::{Duration, Instant};
 
@@ -51,8 +53,9 @@ pub struct SolveOptions {
     /// Number of parallel solver workers. `1` (the default) runs exactly
     /// the sequential path of the paper reproduction; larger values race a
     /// diversified portfolio of that many CDCL workers with cooperative
-    /// cancellation (see [`sbgc_pb::solve_portfolio`]). Ignored by the
-    /// branch-and-bound [`SolverKind::Cplex`] baseline.
+    /// cancellation (see [`sbgc_pb::PortfolioSession`] and
+    /// [`SolverKind::portfolio_workers`]). Ignored by the branch-and-bound
+    /// [`SolverKind::Cplex`] baseline.
     pub parallelism: usize,
     /// Observability sink: an enabled [`Recorder`] receives phase spans
     /// (encode/sbp/detect/solve/verify), solver counters, and per-worker
@@ -134,24 +137,6 @@ impl SolveOptions {
     /// before the hybrid. Shorthand for `with_heuristics(false)`.
     pub fn without_heuristics(self) -> Self {
         self.with_heuristics(false)
-    }
-
-    /// The portfolio worker count implied by these options: `Some(n)` when
-    /// the solve should race a portfolio (explicit
-    /// [`SolverKind::Portfolio`], or `parallelism > 1` with a CDCL
-    /// solver), `None` for the sequential path. The CPLEX baseline never
-    /// uses the portfolio — it is the paper's non-CDCL control.
-    pub fn portfolio_workers(&self) -> Option<usize> {
-        match self.solver {
-            SolverKind::Portfolio => Some(if self.parallelism > 1 {
-                self.parallelism
-            } else {
-                SolverKind::DEFAULT_PORTFOLIO_WORKERS
-            }),
-            SolverKind::Cplex => None,
-            _ if self.parallelism > 1 => Some(self.parallelism),
-            _ => None,
-        }
     }
 }
 
@@ -309,19 +294,16 @@ impl PreparedColoring {
         self.solve_with_parallelism(graph, solver, budget, 1)
     }
 
-    /// Like [`PreparedColoring::solve`], but racing `parallelism`
-    /// diversified portfolio workers when `parallelism > 1` (or when
-    /// `solver` is [`SolverKind::Portfolio`], which uses
-    /// [`SolverKind::DEFAULT_PORTFOLIO_WORKERS`] if `parallelism ≤ 1`).
-    /// With `parallelism = 1` and a non-portfolio solver this is exactly
-    /// the sequential path.
+    /// Like [`PreparedColoring::solve`], but racing the portfolio workers
+    /// that [`SolverKind::portfolio_workers`] assigns to `solver` and
+    /// `parallelism`. With `parallelism = 1` and a non-portfolio solver
+    /// this is exactly the sequential path.
     ///
     /// # Panics
     ///
     /// Panics if `graph` is not the graph this instance was prepared from
-    /// (detected via vertex count), or if the portfolio race could not
-    /// start. Use [`PreparedColoring::try_solve_with_parallelism`] for the
-    /// non-panicking form.
+    /// (detected via vertex count) — that is a programming error of the
+    /// caller, not an input failure.
     pub fn solve_with_parallelism(
         &self,
         graph: &Graph,
@@ -329,63 +311,25 @@ impl PreparedColoring {
         budget: &Budget,
         parallelism: usize,
     ) -> SolveReport {
-        self.try_solve_with_parallelism(graph, solver, budget, parallelism)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`PreparedColoring::solve_with_parallelism`], but reporting
-    /// pipeline misuse as a typed [`SolveError`] instead of panicking.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `graph` is not the graph this instance was prepared from
-    /// (detected via vertex count) — that is a programming error of the
-    /// caller, not an input failure.
-    pub fn try_solve_with_parallelism(
-        &self,
-        graph: &Graph,
-        solver: SolverKind,
-        budget: &Budget,
-        parallelism: usize,
-    ) -> Result<SolveReport, SolveError> {
         assert_eq!(
             graph.num_vertices(),
             self.encoding.num_vertices(),
             "graph does not match the prepared encoding"
         );
-        let workers = match solver {
-            SolverKind::Portfolio if parallelism <= 1 => {
-                Some(SolverKind::DEFAULT_PORTFOLIO_WORKERS)
-            }
-            SolverKind::Portfolio => Some(parallelism),
-            SolverKind::Cplex => None,
-            _ if parallelism > 1 => Some(parallelism),
-            _ => None,
-        };
         let start = Instant::now();
         let (result, exhaust) = {
             let _span = self.recorder.span(Phase::Solve);
-            match workers {
-                Some(n) => {
-                    let configs = sbgc_pb::portfolio_configs(n);
-                    let race = sbgc_pb::optimize_portfolio_recorded(
-                        self.encoding.formula(),
-                        &configs,
-                        budget,
-                        &self.recorder,
-                    )?;
-                    (race.outcome, race.stats.exhaust)
+            let formula = self.encoding.formula();
+            let (outcome, stats) = match solver {
+                SolverKind::Cplex => {
+                    optimize_recorded_with_stats(formula, solver, budget, &self.recorder)
                 }
-                None => {
-                    let (outcome, stats) = optimize_recorded_with_stats(
-                        self.encoding.formula(),
-                        solver,
-                        budget,
-                        &self.recorder,
-                    );
-                    (outcome, stats.exhaust)
+                _ => {
+                    let mut opt = Optimizer::new(formula, solver, parallelism, &self.recorder);
+                    (opt.run(budget), opt.stats())
                 }
-            }
+            };
+            (outcome, stats.exhaust)
         };
         let solve_time = start.elapsed();
         // A decided run's answer supersedes any limit an earlier
@@ -421,7 +365,7 @@ impl PreparedColoring {
             }
         };
 
-        Ok(SolveReport {
+        SolveReport {
             outcome,
             base_stats: self.base_stats,
             final_stats: self.final_stats,
@@ -430,7 +374,7 @@ impl PreparedColoring {
             solve_time,
             total_time: self.prepare_time + solve_time,
             exhaust,
-        })
+        }
     }
 }
 
@@ -454,8 +398,8 @@ pub fn solve_coloring(graph: &Graph, options: &SolveOptions) -> SolveReport {
     try_solve_coloring(graph, options).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`solve_coloring`] with typed errors: a zero color bound or a failed
-/// portfolio start is reported as a [`SolveError`] instead of a panic.
+/// [`solve_coloring`] with typed errors: a zero color bound is reported as
+/// a [`SolveError`] instead of a panic.
 /// Budget exhaustion is still *not* an error — it yields an
 /// [`ColoringOutcome::Unknown`]/[`ColoringOutcome::Feasible`] report whose
 /// [`SolveReport::exhaust`] says which limit was hit.
@@ -466,12 +410,12 @@ pub fn try_solve_coloring(
     if options.k == 0 {
         return Err(SolveError::ZeroColorBound);
     }
-    PreparedColoring::new(graph, options).try_solve_with_parallelism(
+    Ok(PreparedColoring::new(graph, options).solve_with_parallelism(
         graph,
         options.solver,
         &options.budget,
         options.parallelism,
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -558,7 +502,7 @@ mod tests {
         // The non-CDCL control stays sequential whatever the parallelism.
         let g = mycielski(3);
         let opts = SolveOptions::new(5).with_solver(SolverKind::Cplex).with_parallelism(4);
-        assert_eq!(opts.portfolio_workers(), None);
+        assert_eq!(opts.solver.portfolio_workers(opts.parallelism), None);
         let report = solve_coloring(&g, &opts);
         assert_eq!(report.outcome.colors(), Some(4));
     }
@@ -598,8 +542,15 @@ mod tests {
         let opts = SolveOptions::new(6).with_parallelism(3).with_recorder(rec.clone());
         let report = solve_coloring(&g, &opts);
         assert!(report.outcome.is_decided());
-        assert_eq!(rec.workers().len(), 3);
-        assert_eq!(rec.workers().iter().filter(|w| w.won).count(), 1);
+        // One entry per worker per strengthening query, one winner each.
+        let workers = rec.workers();
+        let queries = workers.iter().filter_map(|w| w.query).max().expect("tagged") + 1;
+        for q in 0..queries {
+            let per_query: Vec<_> = workers.iter().filter(|w| w.query == Some(q)).collect();
+            assert_eq!(per_query.len(), 3, "query {q}");
+            assert_eq!(per_query.iter().filter(|w| w.won).count(), 1, "query {q}");
+        }
+        assert_eq!(workers.len() as u64, 3 * queries);
     }
 
     #[test]

@@ -289,7 +289,7 @@ pub fn race_heuristics_instrumented(
                         let mut current = witness.colors().to_vec();
                         descend(index, &mut |target| {
                             if let Some(plan) = fault {
-                                if plan.worker_panic(index).is_some() {
+                                if plan.worker_panic(index) == Some(0) {
                                     panic!("fault injection: heuristic worker {index} panics");
                                 }
                             }
@@ -306,7 +306,7 @@ pub fn race_heuristics_instrumented(
                         let mut stream = 0u64;
                         descend(index, &mut |target| {
                             if let Some(plan) = fault {
-                                if plan.worker_panic(index).is_some() {
+                                if plan.worker_panic(index) == Some(0) {
                                     panic!("fault injection: heuristic worker {index} panics");
                                 }
                             }
@@ -317,7 +317,7 @@ pub fn race_heuristics_instrumented(
                     }
                     _ => {
                         if let Some(plan) = fault {
-                            if plan.worker_panic(index).is_some() {
+                            if plan.worker_panic(index) == Some(0) {
                                 panic!("fault injection: heuristic worker {index} panics");
                             }
                         }
@@ -482,7 +482,7 @@ mod tests {
     fn panicking_worker_dies_alone() {
         let g = gen::mycielski(3);
         let b = bounds(&g);
-        let plan = FaultPlan::new(3).with_worker_panic(2, 1);
+        let plan = FaultPlan::new(3).with_worker_panic(2, 0);
         let out = race_heuristics_instrumented(&g, &options(), &b, Some(&plan));
         assert_eq!(out.failed_workers, 1);
         assert!(out.witness.is_proper(&g), "coloring workers keep racing");

@@ -50,10 +50,7 @@ use crate::sbp::add_instance_independent_sbps;
 use sbgc_formula::Lit;
 use sbgc_graph::{Coloring, Graph};
 use sbgc_obs::{FaultPlan, Phase, Recorder};
-use sbgc_pb::{
-    portfolio_configs, Budget, ExhaustReason, PbEngine, PortfolioSession, SharingConfig,
-    SolveOutcome, SolverKind,
-};
+use sbgc_pb::{Budget, DecisionBackend, ExhaustReason, SolveOutcome, SolverKind};
 
 /// What one ladder query established.
 #[derive(Clone, Debug)]
@@ -91,14 +88,6 @@ pub struct SessionStep {
     pub exhaust: Option<ExhaustReason>,
 }
 
-enum SessionBackend {
-    /// One long-lived [`PbEngine`].
-    Sequential(Box<PbEngine>),
-    /// A persistent portfolio: one long-lived engine per worker thread,
-    /// racing each query (see [`PortfolioSession`]).
-    Portfolio(PortfolioSession),
-}
-
 /// A persistent incremental coloring session: the instance is encoded
 /// once, and the whole chromatic-number ladder is driven through
 /// assumption queries against long-lived solver state.
@@ -109,7 +98,7 @@ enum SessionBackend {
 /// `sbgc-core::chromatic` ladder (`chromatic_number_outcome` and friends)
 /// drives this automatically for every supported configuration.
 pub struct ColoringSession<'g> {
-    backend: SessionBackend,
+    backend: DecisionBackend,
     encoding: ColoringEncoding,
     graph: &'g Graph,
     recorder: Recorder,
@@ -209,30 +198,14 @@ impl<'g> ColoringSession<'g> {
             let _span = recorder.span(Phase::Sbp);
             let _ = add_instance_independent_sbps(&mut encoding, graph, options.sbp_mode);
         }
-        let backend = match options.portfolio_workers() {
-            Some(n) => {
-                let configs: Vec<_> = portfolio_configs(n)
-                    .iter()
-                    .map(|c| c.with_seed(c.seed.wrapping_add(seed_offset)))
-                    .collect();
-                let session = PortfolioSession::with_instrumentation(
-                    encoding.formula(),
-                    &configs,
-                    &recorder,
-                    fault,
-                    Some(SharingConfig::default()),
-                )?;
-                SessionBackend::Portfolio(session)
-            }
-            None => {
-                let config =
-                    options.solver.engine_config().expect("supports() admits only CDCL solvers");
-                let config = config.with_seed(config.seed.wrapping_add(seed_offset));
-                let mut engine = PbEngine::from_formula(encoding.formula(), config);
-                engine.set_recorder(recorder.clone());
-                SessionBackend::Sequential(Box::new(engine))
-            }
-        };
+        let backend = DecisionBackend::new_with(
+            encoding.formula(),
+            options.solver,
+            options.parallelism,
+            &recorder,
+            seed_offset,
+            fault,
+        );
         Ok(ColoringSession { backend, encoding, graph, recorder, k, ceiling: k })
     }
 
@@ -264,14 +237,7 @@ impl<'g> ColoringSession<'g> {
         }
         let units: Vec<Lit> =
             (new_ceiling..self.ceiling).map(|j| self.encoding.y(j).negative()).collect();
-        match &mut self.backend {
-            SessionBackend::Sequential(engine) => {
-                for &lit in &units {
-                    engine.add_clause([lit]);
-                }
-            }
-            SessionBackend::Portfolio(session) => session.commit_units(&units),
-        }
+        self.backend.commit_units(&units);
         let retired = self.ceiling - new_ceiling;
         self.ceiling = new_ceiling;
         retired
@@ -293,34 +259,22 @@ impl<'g> ColoringSession<'g> {
 
     /// Workers still alive in the backend (always 1 for sequential).
     pub fn alive_workers(&self) -> usize {
-        match &self.backend {
-            SessionBackend::Sequential(_) => 1,
-            SessionBackend::Portfolio(p) => p.alive_workers(),
-        }
+        self.backend.alive_workers()
     }
 
     /// The diversification seed of each backend engine, in worker order
     /// (a single entry for the sequential backend) — persisted in
     /// checkpoints so a resume can diversify away from them.
     pub fn worker_seeds(&self) -> Vec<u64> {
-        match &self.backend {
-            SessionBackend::Sequential(engine) => vec![engine.config().seed],
-            SessionBackend::Portfolio(p) => p.worker_seeds(),
-        }
+        self.backend.worker_seeds()
     }
 
-    /// Exports the learned clauses worth persisting in a checkpoint:
-    /// every clause that passes the default LBD/size share filter. For
-    /// the portfolio backend this is the shared pool's snapshot (clauses
-    /// already filtered at export time); for the sequential backend the
-    /// engine's live learned clauses are filtered here. Each clause is
-    /// entailed by the encoding plus the committed bounds (see the module
-    /// docs), so it stays valid for any resumed query.
+    /// Exports the learned clauses worth persisting in a checkpoint (see
+    /// [`DecisionBackend::export_learned`]). Each clause is entailed by
+    /// the encoding plus the committed bounds (see the module docs), so it
+    /// stays valid for any resumed query.
     pub fn export_learned(&self) -> Vec<(Vec<Lit>, u32)> {
-        match &self.backend {
-            SessionBackend::Sequential(engine) => engine.export_learned(SharingConfig::default()),
-            SessionBackend::Portfolio(p) => p.export_clauses(),
-        }
+        self.backend.export_learned()
     }
 
     /// Imports externally supplied learned clauses (a resumed
@@ -329,14 +283,7 @@ impl<'g> ColoringSession<'g> {
     /// were learned under first — `supervisor::resume` does — or the
     /// import would be unsound.
     pub fn import_learned(&mut self, clauses: &[(Vec<Lit>, u32)]) -> usize {
-        match &mut self.backend {
-            SessionBackend::Sequential(engine) => {
-                let before = engine.stats().imported;
-                engine.import_learned(clauses);
-                (engine.stats().imported - before) as usize
-            }
-            SessionBackend::Portfolio(p) => p.import_clauses(clauses),
-        }
+        self.backend.import_learned(clauses)
     }
 
     /// Asks "is the graph `target`-colorable?" against the persistent
@@ -368,52 +315,32 @@ impl<'g> ColoringSession<'g> {
         // live suffix needs assuming.
         let assumptions: Vec<Lit> =
             (target..self.ceiling).map(|j| self.encoding.y(j).negative()).collect();
-        let recorder = self.recorder.clone();
-        let (outcome, core, retained, workers, exhaust) = match &mut self.backend {
-            SessionBackend::Sequential(engine) => {
-                let retained = engine.live_learned() as u64;
-                let outcome = {
-                    let _span = recorder.span(Phase::Solve);
-                    engine.solve_with_assumptions(&assumptions, budget)
-                };
-                let core = match outcome {
-                    SolveOutcome::Unsat => engine.assumption_core().to_vec(),
-                    _ => Vec::new(),
-                };
-                let exhaust = engine.stats().exhaust;
-                (outcome, core, retained, 1, exhaust)
-            }
-            SessionBackend::Portfolio(session) => {
-                let out = {
-                    let _span = recorder.span(Phase::Solve);
-                    session.query(&assumptions, budget)
-                };
-                let workers = session.alive_workers();
-                let exhaust = out.stats.exhaust;
-                (out.outcome, out.core, out.retained_clauses, workers, exhaust)
-            }
+        let out = {
+            let _span = self.recorder.span(Phase::Solve);
+            self.backend.query(&assumptions, budget)
         };
-        let (answer, exhaust) = match outcome {
+        let (answer, exhaust) = match out.outcome {
             SolveOutcome::Sat(model) => {
-                let _span = recorder.span(Phase::Verify);
+                let _span = self.recorder.span(Phase::Verify);
                 match self.encoding.decode(&model).filter(|c| c.is_proper(self.graph)) {
                     Some(coloring) => (SessionAnswer::Colorable(coloring.compacted()), None),
                     None => (SessionAnswer::Unknown, None),
                 }
             }
-            SolveOutcome::Unsat => (SessionAnswer::NotColorable { core }, None),
-            SolveOutcome::Unknown => (SessionAnswer::Unknown, exhaust),
+            SolveOutcome::Unsat => (SessionAnswer::NotColorable { core: out.core }, None),
+            SolveOutcome::Unknown => (SessionAnswer::Unknown, out.stats.exhaust),
         };
-        SessionStep { answer, retained_clauses: retained, workers, exhaust }
+        SessionStep {
+            answer,
+            retained_clauses: out.retained_clauses,
+            workers: self.backend.alive_workers(),
+            exhaust,
+        }
     }
 }
 
 impl std::fmt::Debug for ColoringSession<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let backend = match &self.backend {
-            SessionBackend::Sequential(_) => "sequential".to_string(),
-            SessionBackend::Portfolio(p) => format!("portfolio({} alive)", p.alive_workers()),
-        };
-        write!(f, "ColoringSession(k={}, backend={backend})", self.k)
+        write!(f, "ColoringSession(k={}, backend={:?})", self.k, self.backend)
     }
 }

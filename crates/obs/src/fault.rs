@@ -1,25 +1,26 @@
 //! Deterministic fault injection for chaos testing.
 //!
 //! A [`FaultPlan`] describes *when and where* the pipeline should fail:
-//! which portfolio worker panics after how many conflicts, and which proof
-//! write reports an I/O error. Plans are plain data — seeded, cloneable and
+//! which portfolio worker panics at the start of which query, and which
+//! proof write reports an I/O error. Plans are plain data — seeded, cloneable and
 //! free of wall-clock or RNG state at trigger time — so a chaos test that
 //! fails replays identically under `--test-threads=1` or in a debugger.
 //!
-//! Production entry points accept no plan (the portfolio's
-//! `*_instrumented` functions take `Option<&FaultPlan>` and every public
-//! wrapper passes `None`), so the injection machinery compiles away to a
-//! single `is_none` branch outside the solver hot path.
+//! Production entry points accept no plan (the instrumented constructors,
+//! such as `PortfolioSession::with_instrumentation`, take
+//! `Option<&FaultPlan>` and every public wrapper passes `None`), so the
+//! injection machinery compiles away to a single `is_none` branch outside
+//! the solver hot path.
 //!
 //! # Example
 //!
 //! ```
 //! use sbgc_obs::FaultPlan;
 //!
-//! let plan = FaultPlan::new(42).with_seeded_worker_panic(4, 100);
+//! let plan = FaultPlan::new(42).with_seeded_worker_panic(4, 1);
 //! let victim = plan.panicking_worker().unwrap();
 //! assert!(victim < 4);
-//! assert_eq!(plan.worker_panic(victim), Some(100));
+//! assert_eq!(plan.worker_panic(victim), Some(1));
 //! // Every other worker is untouched.
 //! assert!((0..4).filter(|&w| plan.worker_panic(w).is_some()).count() == 1);
 //! ```
@@ -28,8 +29,8 @@
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     seed: u64,
-    /// `(worker index, conflict count)`: the worker panics once its solver
-    /// has spent this many conflicts.
+    /// `(worker index, query index)`: the worker panics at the start of
+    /// this 0-based query (a one-shot race is query 0).
     worker_panic: Option<(usize, u64)>,
     /// 1-based index of the first proof write that fails; all later writes
     /// fail too (a full disk stays full).
@@ -65,21 +66,21 @@ impl FaultPlan {
         self.seed
     }
 
-    /// Schedules worker `worker` to panic after `after_conflicts`
-    /// conflicts.
-    pub fn with_worker_panic(mut self, worker: usize, after_conflicts: u64) -> Self {
-        self.worker_panic = Some((worker, after_conflicts));
+    /// Schedules worker `worker` to panic at the start of 0-based query
+    /// `at_query` — the query index of a persistent portfolio session, where
+    /// a one-shot race is query 0.
+    pub fn with_worker_panic(mut self, worker: usize, at_query: u64) -> Self {
+        self.worker_panic = Some((worker, at_query));
         self
     }
 
-    /// Schedules a panic in a seed-chosen worker out of `num_workers`
-    /// after `after_conflicts` conflicts. The choice is a pure function of
-    /// the seed (SplitMix64), so a given seed always kills the same
-    /// worker.
-    pub fn with_seeded_worker_panic(self, num_workers: usize, after_conflicts: u64) -> Self {
+    /// Schedules a panic in a seed-chosen worker out of `num_workers` at
+    /// the start of query `at_query`. The choice is a pure function of the
+    /// seed (SplitMix64), so a given seed always kills the same worker.
+    pub fn with_seeded_worker_panic(self, num_workers: usize, at_query: u64) -> Self {
         assert!(num_workers > 0, "need at least one worker to kill");
         let victim = (splitmix64(self.seed) % num_workers as u64) as usize;
-        self.with_worker_panic(victim, after_conflicts)
+        self.with_worker_panic(victim, at_query)
     }
 
     /// Schedules the `k`-th proof write (1-based) and every write after it
@@ -90,8 +91,8 @@ impl FaultPlan {
         self
     }
 
-    /// If worker `worker` is scheduled to die: the conflict count after
-    /// which it must panic.
+    /// If worker `worker` is scheduled to die: the 0-based query at whose
+    /// start it must panic.
     pub fn worker_panic(&self, worker: usize) -> Option<u64> {
         match self.worker_panic {
             Some((w, n)) if w == worker => Some(n),

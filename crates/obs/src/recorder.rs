@@ -213,9 +213,9 @@ pub struct SpanRecord {
     pub depth: usize,
 }
 
-/// Per-worker telemetry of one portfolio race, recorded by
-/// `sbgc-pb::solve_portfolio` / `optimize_portfolio` when given an enabled
-/// recorder.
+/// Per-worker telemetry of one portfolio race, recorded by every
+/// `sbgc-pb::PortfolioSession` query (and by the heuristic race of
+/// `sbgc-core`) when given an enabled recorder.
 #[derive(Clone, Debug)]
 pub struct WorkerTelemetry {
     /// Worker index into the portfolio's config slice.
@@ -245,11 +245,11 @@ pub struct WorkerTelemetry {
     /// wins, and its `search` counters are whatever was flushed before
     /// death (possibly all zero).
     pub failed: Option<String>,
-    /// For persistent-session workers: the 0-based query index this
-    /// telemetry entry describes (a session records one entry per worker
-    /// per ladder query, with `search` holding that query's counter
-    /// *delta*, not the worker's lifetime totals). `None` for one-shot
-    /// races.
+    /// For portfolio workers: the 0-based session query this telemetry
+    /// entry describes (a session records one entry per worker per query —
+    /// per ladder rung or strengthening iteration — with `search` holding
+    /// that query's counter *delta*, not the worker's lifetime totals; a
+    /// one-shot decision race is query 0). `None` for heuristic workers.
     pub query: Option<u64>,
 }
 

@@ -23,8 +23,8 @@ use crate::recorder::{
 /// the derived `mean_lbd` to every `search` object (run-level and
 /// per-worker). v5 added the `ladder` array (one entry per incremental
 /// chromatic ladder step with its `retained_clauses` counter) and the
-/// per-worker `query` field (ladder-query index for persistent-session
-/// workers, `null` for one-shot races). v6 added the `sbp` object — the
+/// per-worker `query` field (session-query index of portfolio workers;
+/// `null` for heuristic workers). v6 added the `sbp` object — the
 /// symmetry-breaking construction's label and its measured aux-var /
 /// clause / PB-constraint counts as one self-contained record (the
 /// counts were previously only recoverable from the `encoding` object).

@@ -90,18 +90,40 @@ pub enum SolverKind {
     /// (CPLEX stand-in).
     Cplex,
     /// Parallel portfolio racing diversified CDCL configurations (see
-    /// [`crate::solve_portfolio`]); not part of the paper's line-up. When
-    /// reached through the sequential [`crate::optimize`] /
-    /// [`crate::solve_decision`] interface (which carries no worker count)
-    /// it runs [`SolverKind::DEFAULT_PORTFOLIO_WORKERS`] workers; the
-    /// end-to-end flow passes its `parallelism` option explicitly.
+    /// [`crate::PortfolioSession`]); not part of the paper's line-up. The
+    /// worker count comes from [`SolverKind::portfolio_workers`].
     Portfolio,
 }
 
 impl SolverKind {
-    /// Worker count used when [`SolverKind::Portfolio`] is run through an
-    /// interface that does not carry an explicit parallelism setting.
+    /// Worker count of [`SolverKind::Portfolio`] when no parallelism above
+    /// 1 is requested.
     pub const DEFAULT_PORTFOLIO_WORKERS: usize = 4;
+
+    /// The portfolio worker count that this solver and a requested
+    /// `parallelism` imply: `Some(n)` when the solve should race a
+    /// portfolio (explicit [`SolverKind::Portfolio`] — with
+    /// [`SolverKind::DEFAULT_PORTFOLIO_WORKERS`] unless `parallelism > 1`
+    /// — or `parallelism > 1` with a CDCL solver), `None` for the
+    /// sequential path. The CPLEX baseline never races — it is the paper's
+    /// non-CDCL control.
+    ///
+    /// ```
+    /// use sbgc_pb::SolverKind;
+    ///
+    /// assert_eq!(SolverKind::PbsII.portfolio_workers(1), None);
+    /// assert_eq!(SolverKind::PbsII.portfolio_workers(3), Some(3));
+    /// assert_eq!(SolverKind::Portfolio.portfolio_workers(1), Some(4));
+    /// assert_eq!(SolverKind::Cplex.portfolio_workers(8), None);
+    /// ```
+    pub fn portfolio_workers(self, parallelism: usize) -> Option<usize> {
+        match self {
+            SolverKind::Cplex => None,
+            SolverKind::Portfolio if parallelism <= 1 => Some(Self::DEFAULT_PORTFOLIO_WORKERS),
+            _ if parallelism > 1 => Some(parallelism),
+            _ => None,
+        }
+    }
 
     /// All kinds used in the main tables (Tables 3–4).
     pub const MAIN: [SolverKind; 4] =

@@ -16,6 +16,9 @@
 //! * [`optimize`] / [`Optimizer`] — Boolean optimization by iterated
 //!   strengthening of the objective bound, the way PBS-class solvers
 //!   minimize an objective.
+//! * [`DecisionBackend`] — long-lived solver state answering assumption
+//!   queries: one [`PbEngine`], or a [`PortfolioSession`] racing
+//!   diversified engines with learned-clause sharing.
 //!
 //! # Example
 //!
@@ -39,6 +42,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod backend;
 mod bnb;
 mod config;
 mod engine;
@@ -46,6 +50,7 @@ mod explain;
 mod optimize;
 mod portfolio;
 
+pub use backend::DecisionBackend;
 pub use bnb::BnbSolver;
 pub use config::{EngineConfig, RestartPolicy, SolverKind};
 pub use engine::{PbEngine, PbStats};
@@ -54,11 +59,7 @@ pub use optimize::{
     optimize, optimize_recorded, optimize_recorded_with_stats, solve_decision,
     solve_decision_recorded, OptOutcome, Optimizer,
 };
-pub use portfolio::{
-    optimize_portfolio, optimize_portfolio_instrumented, optimize_portfolio_recorded,
-    portfolio_configs, solve_portfolio, solve_portfolio_instrumented, solve_portfolio_recorded,
-    PortfolioError, PortfolioOptOutcome, PortfolioOutcome, PortfolioSession, SessionQueryOutcome,
-};
+pub use portfolio::{portfolio_configs, PortfolioError, PortfolioSession, SessionQueryOutcome};
 
 pub use sbgc_obs::{FaultPlan, Recorder, WorkerTelemetry};
 pub use sbgc_sat::{

@@ -3,12 +3,16 @@
 //! PBS-class solvers minimize `MIN Σ cᵢ·ℓᵢ` by solving a sequence of
 //! decision problems: find any solution, then add the constraint
 //! `Σ cᵢ·ℓᵢ ≤ best − 1` and solve again, until UNSAT proves optimality
-//! (linear search, the default of both PBS and Galena).
+//! (linear search, the default of both PBS and Galena). The same loop
+//! drives a single engine and a racing portfolio: it runs over a
+//! [`DecisionBackend`].
 
+use crate::backend::DecisionBackend;
 use crate::bnb::BnbSolver;
 use crate::config::SolverKind;
-use crate::engine::PbEngine;
-use sbgc_formula::{Assignment, PbConstraint, PbFormula};
+use crate::engine::PbStats;
+use crate::portfolio::add_stats;
+use sbgc_formula::{Assignment, Objective, PbFormula};
 use sbgc_obs::Recorder;
 use sbgc_sat::{Budget, SolveOutcome};
 
@@ -70,42 +74,63 @@ impl OptOutcome {
     }
 }
 
-/// A reusable optimizer around [`PbEngine`] (linear-search minimization).
+/// A reusable linear-search optimizer over a [`DecisionBackend`].
 ///
 /// Use [`optimize`] for the one-shot convenience form that also dispatches
 /// to the branch-and-bound baseline.
 pub struct Optimizer {
-    engine: PbEngine,
-    formula: PbFormula,
+    backend: DecisionBackend,
+    objective: Objective,
+    stats: PbStats,
 }
 
 impl Optimizer {
-    /// Builds an optimizer for `formula` with the engine configuration of
-    /// `kind`.
+    /// Builds an optimizer for `formula` over the backend that `kind` and
+    /// `parallelism` select (see [`DecisionBackend::new`]); every engine
+    /// flushes its counters into `recorder`.
     ///
     /// # Panics
     ///
     /// Panics if `kind` is [`SolverKind::Cplex`] (use [`BnbSolver`]) or the
     /// formula has no objective.
-    pub fn new(formula: &PbFormula, kind: SolverKind) -> Self {
-        let config = kind
-            .engine_config()
-            .expect("Optimizer requires a CDCL solver kind; use BnbSolver for Cplex");
-        assert!(formula.objective().is_some(), "formula must carry an objective");
-        Optimizer { engine: PbEngine::from_formula(formula, config), formula: formula.clone() }
+    pub fn new(
+        formula: &PbFormula,
+        kind: SolverKind,
+        parallelism: usize,
+        recorder: &Recorder,
+    ) -> Self {
+        let objective = formula.objective().expect("formula must carry an objective").clone();
+        Self::with_backend(DecisionBackend::new(formula, kind, parallelism, recorder), objective)
+    }
+
+    /// An optimizer minimizing `objective` over an existing `backend` —
+    /// e.g. a [`crate::PortfolioSession`] with hand-picked configs or a
+    /// fault plan. The backend must have been built from the formula that
+    /// carries `objective`.
+    pub fn with_backend(backend: DecisionBackend, objective: Objective) -> Self {
+        Optimizer { backend, objective, stats: PbStats::default() }
     }
 
     /// Runs linear-search minimization under `budget`.
+    ///
+    /// Each model of value `v` is followed by committing the cut
+    /// `objective ≤ v − 1` to every engine before the next query starts,
+    /// so every clause any engine holds — learned locally or imported from
+    /// a portfolio peer — is entailed by the formula plus the current cut.
+    /// An UNSAT answer therefore proves the incumbent optimal, or the
+    /// formula infeasible when no model was found yet; the argument is the
+    /// same for one engine and for a racing portfolio.
     pub fn run(&mut self, budget: &Budget) -> OptOutcome {
         // Arm once here so every decision query of the strengthening loop
         // shares the same wall-clock deadline.
         let budget = budget.started();
-        let objective = self.formula.objective().expect("checked in new").clone();
         let mut best: Option<(u64, Assignment)> = None;
         loop {
-            match self.engine.solve_with_budget(&budget) {
+            let answer = self.backend.query(&[], &budget);
+            add_stats(&mut self.stats, answer.stats);
+            match answer.outcome {
                 SolveOutcome::Sat(model) => {
-                    let value = objective.value(&model).expect("total model");
+                    let value = self.objective.value(&model).expect("total model");
                     if let Some((b, bm)) = &best {
                         if *b <= value {
                             // A non-improving model despite the strict bound
@@ -117,13 +142,8 @@ impl Optimizer {
                     if value == 0 {
                         return OptOutcome::Optimal { value: 0, model };
                     }
-                    // Strengthen: objective <= value - 1.
-                    let bound = PbConstraint::at_most(
-                        objective.terms().iter().map(|&(c, l)| (c as i64, l)),
-                        value as i64 - 1,
-                    );
                     best = Some((value, model));
-                    self.engine.add_pb(bound);
+                    self.backend.commit_cut(&self.objective, value - 1);
                 }
                 SolveOutcome::Unsat => {
                     return match best {
@@ -141,15 +161,15 @@ impl Optimizer {
         }
     }
 
-    /// Statistics of the underlying engine.
-    pub fn stats(&self) -> crate::PbStats {
-        self.engine.stats()
+    /// Engine statistics summed over every query so far (over all workers
+    /// for a portfolio backend).
+    pub fn stats(&self) -> PbStats {
+        self.stats
     }
 
-    /// Attaches a [`Recorder`] to the underlying engine (see
-    /// [`PbEngine::set_recorder`]).
-    pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.engine.set_recorder(recorder);
+    /// The decision backend the optimizer runs on.
+    pub fn backend(&self) -> &DecisionBackend {
+        &self.backend
     }
 }
 
@@ -179,9 +199,9 @@ pub fn optimize_recorded(
 }
 
 /// [`optimize_recorded`] that also returns the engine statistics of the
-/// run — for the CDCL kinds the optimizer's own counters, for the
-/// portfolio the sum over all workers, and for the branch-and-bound
-/// baseline (which has no CDCL counters) the default all-zero stats.
+/// run — for the CDCL kinds the optimizer's counters (summed over all
+/// workers for the portfolio), and for the branch-and-bound baseline
+/// (which has no CDCL counters) the default all-zero stats.
 ///
 /// The `exhaust` field of the returned stats is the budget-exhaustion
 /// reason when the run ended undecided, which is how callers distinguish
@@ -192,21 +212,13 @@ pub fn optimize_recorded_with_stats(
     kind: SolverKind,
     budget: &Budget,
     recorder: &Recorder,
-) -> (OptOutcome, crate::PbStats) {
+) -> (OptOutcome, PbStats) {
     match kind {
-        SolverKind::Cplex => (BnbSolver::new(formula).run(budget), crate::PbStats::default()),
-        SolverKind::Portfolio => {
-            let configs = crate::portfolio_configs(SolverKind::DEFAULT_PORTFOLIO_WORKERS);
-            let race = crate::optimize_portfolio_recorded(formula, &configs, budget, recorder)
-                .unwrap_or_else(|e| panic!("{e}"));
-            (race.outcome, race.stats)
-        }
+        SolverKind::Cplex => (BnbSolver::new(formula).run(budget), PbStats::default()),
         _ => {
-            let mut opt = Optimizer::new(formula, kind);
-            opt.set_recorder(recorder.clone());
+            let mut opt = Optimizer::new(formula, kind, 1, recorder);
             let outcome = opt.run(budget);
-            let stats = opt.stats();
-            (outcome, stats)
+            (outcome, opt.stats())
         }
     }
 }
@@ -232,18 +244,7 @@ pub fn solve_decision_recorded(
             f.clear_objective();
             BnbSolver::new(&f).run_decision(budget)
         }
-        SolverKind::Portfolio => {
-            let configs = crate::portfolio_configs(SolverKind::DEFAULT_PORTFOLIO_WORKERS);
-            crate::solve_portfolio_recorded(formula, &configs, budget, recorder)
-                .unwrap_or_else(|e| panic!("{e}"))
-                .outcome
-        }
-        _ => {
-            let config = kind.engine_config().expect("CDCL kind");
-            let mut engine = PbEngine::from_formula(formula, config);
-            engine.set_recorder(recorder.clone());
-            engine.solve_with_budget(budget)
-        }
+        _ => DecisionBackend::new(formula, kind, 1, recorder).query(&[], budget).outcome,
     }
 }
 

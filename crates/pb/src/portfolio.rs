@@ -10,50 +10,45 @@
 //! losing worker stops at its next stride-64 budget check, i.e. within
 //! ~64 conflicts).
 //!
-//! Two entry points mirror the sequential API:
-//!
-//! * [`solve_portfolio`] races decision solves ([`PbEngine`] workers);
-//! * [`optimize_portfolio`] races iterated-strengthening optimization
-//!   loops that share their incumbent bound through an `AtomicU64`, so any
-//!   worker's improvement immediately tightens every other worker's
-//!   objective cut.
-//!
-//! Everything is built on `std::thread::scope` — no dependencies beyond
-//! `std`.
+//! There is one race: [`PortfolioSession::query`]. The session keeps one
+//! long-lived worker thread per config, so a one-shot decision solve is a
+//! session with a single `query(&[], budget)`, and optimization is the
+//! [`crate::Optimizer`]'s linear search over a session (through
+//! [`crate::DecisionBackend`]), committing each objective cut to every
+//! worker between queries.
 //!
 //! # Learned-clause sharing
 //!
-//! Workers in one race cooperate, not just compete: every race creates a
-//! [`SharedClausePool`] and hands each worker a [`SharingHandle`], so
-//! learned clauses that pass the glue filter (low LBD, short — see
-//! [`SharingConfig`]) are exported to the pool and imported by every peer
-//! at its next restart. Import happens only at restart boundaries, where
-//! the trail is at the root level anyway, which keeps the propagation hot
-//! loop free of locks (see `docs/DESIGN.md` §4f). The `*_instrumented`
-//! entry points accept `Option<SharingConfig>` so tests can race with
-//! sharing disabled; the production wrappers always share.
+//! Workers in one session cooperate, not just compete: every session
+//! creates a [`SharedClausePool`] and hands each worker a
+//! [`SharingHandle`], so learned clauses that pass the glue filter (low
+//! LBD, short — see [`SharingConfig`]) are exported to the pool and
+//! imported by every peer at its next restart. Import happens only at
+//! restart boundaries, where the trail is at the root level anyway, which
+//! keeps the propagation hot loop free of locks (see `docs/DESIGN.md`
+//! §4f). [`PortfolioSession::with_instrumentation`] accepts
+//! `Option<SharingConfig>` so tests can race with sharing disabled;
+//! [`PortfolioSession::new`] always shares.
 //!
 //! # Fault tolerance
 //!
-//! Each worker body runs under [`std::panic::catch_unwind`]: a panicking
-//! worker dies alone while the survivors keep racing, and the race still
-//! returns the first definitive answer. All shared state (winner slot,
-//! summed stats, cancel mark, incumbent) is locked poison-tolerantly, so
-//! a panic inside a critical section cannot wedge the surviving workers.
-//! Dead workers are counted in [`PortfolioOutcome::failed_workers`] and —
+//! Each worker's engine construction, commits and solves run under
+//! [`std::panic::catch_unwind`]: a panicking worker dies alone while the
+//! survivors keep racing, and the query still returns the first
+//! definitive answer. Shared state is locked poison-tolerantly, so a panic
+//! inside a critical section cannot wedge the surviving workers. Dead
+//! workers are counted in [`SessionQueryOutcome::failed_workers`] and —
 //! with an enabled [`Recorder`] — recorded as [`WorkerTelemetry`] entries
 //! whose `failed` field summarizes the panic payload. The deterministic
-//! [`FaultPlan`] accepted by the `*_instrumented` entry points exists to
-//! test exactly this machinery (see `docs/ROBUSTNESS.md`).
+//! [`FaultPlan`] accepted by [`PortfolioSession::with_instrumentation`]
+//! exists to test exactly this machinery (see `docs/ROBUSTNESS.md`).
 
 use crate::config::{EngineConfig, RestartPolicy, SolverKind};
 use crate::engine::{PbEngine, PbStats};
-use crate::optimize::OptOutcome;
-use sbgc_formula::{Assignment, Lit, PbConstraint, PbFormula};
+use sbgc_formula::{Lit, PbConstraint, PbFormula};
 use sbgc_obs::{FaultPlan, Recorder, SearchCounters, WorkerTelemetry};
 use sbgc_sat::{Budget, CancelToken, SharedClausePool, SharingConfig, SharingHandle, SolveOutcome};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -65,55 +60,17 @@ use std::time::{Duration, Instant};
 pub enum PortfolioError {
     /// The `configs` slice was empty: there is no worker to race.
     NoWorkers,
-    /// [`optimize_portfolio`] was called on a formula without an
-    /// objective; there is nothing to minimize.
-    MissingObjective,
 }
 
 impl std::fmt::Display for PortfolioError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PortfolioError::NoWorkers => write!(f, "portfolio needs at least one config"),
-            PortfolioError::MissingObjective => {
-                write!(f, "optimize_portfolio requires a formula with an objective")
-            }
         }
     }
 }
 
 impl std::error::Error for PortfolioError {}
-
-/// Result of a [`solve_portfolio`] race.
-#[derive(Clone, Debug)]
-pub struct PortfolioOutcome {
-    /// The decision answer (first definitive one, else `Unknown`).
-    pub outcome: SolveOutcome,
-    /// Index (into the `configs` slice) and configuration of the worker
-    /// that produced the definitive answer, when there was one.
-    pub winner: Option<(usize, EngineConfig)>,
-    /// Engine statistics summed over *all* workers — the total work spent,
-    /// not just the winner's share.
-    pub stats: PbStats,
-    /// Number of workers that died (panicked) during the race. The race
-    /// result comes from the survivors; a non-zero count alongside a
-    /// definitive `outcome` means the portfolio degraded gracefully.
-    pub failed_workers: usize,
-}
-
-/// Result of an [`optimize_portfolio`] race.
-#[derive(Clone, Debug)]
-pub struct PortfolioOptOutcome {
-    /// The optimization answer (first worker to prove optimality or
-    /// infeasibility wins; otherwise the best shared incumbent).
-    pub outcome: OptOutcome,
-    /// Index and configuration of the winning worker, when one proved the
-    /// answer.
-    pub winner: Option<(usize, EngineConfig)>,
-    /// Engine statistics summed over all workers.
-    pub stats: PbStats,
-    /// Number of workers that died (panicked) during the race.
-    pub failed_workers: usize,
-}
 
 /// Locks poison-tolerantly: a mutex poisoned by a panicking worker stays
 /// usable for the survivors. All the portfolio's shared state is plain
@@ -135,7 +92,8 @@ fn panic_summary(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn add_stats(total: &mut PbStats, s: PbStats) {
+/// Adds the counters of `s` into `total`.
+pub(crate) fn add_stats(total: &mut PbStats, s: PbStats) {
     total.decisions += s.decisions;
     total.conflicts += s.conflicts;
     total.propagations += s.propagations;
@@ -147,7 +105,9 @@ fn add_stats(total: &mut PbStats, s: PbStats) {
     total.lbd_sum += s.lbd_sum;
     total.exported += s.exported;
     total.imported += s.imported;
-    // Keep the first exhaustion reason any worker reported; a decided race
+    total.reductions += s.reductions;
+    total.reclaimed += s.reclaimed;
+    // Keep the first exhaustion reason any worker reported; a decided query
     // clears it at the end (the answer supersedes the losers' exhaustion).
     total.exhaust = total.exhaust.or(s.exhaust);
 }
@@ -266,476 +226,6 @@ pub fn portfolio_configs(n: usize) -> Vec<EngineConfig> {
         .collect()
 }
 
-/// Races one [`PbEngine`] per config on the decision problem; the first
-/// worker to answer Sat or Unsat cancels the rest.
-///
-/// With a single config this degenerates to the sequential solve (plus one
-/// scoped thread). All workers share the caller's `budget` — its deadline
-/// is armed once, here, so setup and losing workers don't extend it.
-///
-/// # Errors
-///
-/// [`PortfolioError::NoWorkers`] if `configs` is empty.
-pub fn solve_portfolio(
-    formula: &PbFormula,
-    configs: &[EngineConfig],
-    budget: &Budget,
-) -> Result<PortfolioOutcome, PortfolioError> {
-    solve_portfolio_recorded(formula, configs, budget, &Recorder::disabled())
-}
-
-/// [`solve_portfolio`] with observability: each worker flushes its search
-/// counters into `recorder` and records a [`WorkerTelemetry`] entry
-/// (configuration, own counters, whether it won, cancellation latency,
-/// run time) on exit. A disabled recorder makes this identical to
-/// [`solve_portfolio`].
-///
-/// # Example
-///
-/// ```
-/// use sbgc_formula::PbFormula;
-/// use sbgc_obs::Recorder;
-/// use sbgc_pb::{portfolio_configs, solve_portfolio_recorded, Budget};
-///
-/// let mut f = PbFormula::new();
-/// let a = f.new_var().positive();
-/// let b = f.new_var().positive();
-/// f.add_clause([a, b]);
-///
-/// let recorder = Recorder::new();
-/// let out =
-///     solve_portfolio_recorded(&f, &portfolio_configs(2), &Budget::unlimited(), &recorder)
-///         .expect("non-empty portfolio");
-/// assert!(out.outcome.is_sat());
-/// let workers = recorder.workers();
-/// assert_eq!(workers.len(), 2);
-/// assert_eq!(workers.iter().filter(|w| w.won).count(), 1);
-/// ```
-///
-/// # Errors
-///
-/// [`PortfolioError::NoWorkers`] if `configs` is empty.
-pub fn solve_portfolio_recorded(
-    formula: &PbFormula,
-    configs: &[EngineConfig],
-    budget: &Budget,
-    recorder: &Recorder,
-) -> Result<PortfolioOutcome, PortfolioError> {
-    solve_portfolio_instrumented(
-        formula,
-        configs,
-        budget,
-        recorder,
-        None,
-        Some(SharingConfig::default()),
-    )
-}
-
-/// [`solve_portfolio_recorded`] plus deterministic fault injection and a
-/// sharing override: when `fault` schedules a panic for a worker, that
-/// worker's solve is capped at the scheduled conflict count and then
-/// panics — exercising the panic-isolation path on purpose. `sharing`
-/// selects the learned-clause export filter (`None` disables clause
-/// sharing entirely, for A/B tests). Production callers pass `None` for
-/// `fault` and `Some(SharingConfig::default())` for `sharing`.
-///
-/// # Errors
-///
-/// [`PortfolioError::NoWorkers`] if `configs` is empty.
-pub fn solve_portfolio_instrumented(
-    formula: &PbFormula,
-    configs: &[EngineConfig],
-    budget: &Budget,
-    recorder: &Recorder,
-    fault: Option<&FaultPlan>,
-    sharing: Option<SharingConfig>,
-) -> Result<PortfolioOutcome, PortfolioError> {
-    if configs.is_empty() {
-        return Err(PortfolioError::NoWorkers);
-    }
-    let budget = budget.started();
-    let race = CancelToken::new();
-    let cancel_mark = CancelMark::new();
-    let pool = SharedClausePool::new();
-    let winner: Mutex<Option<(usize, SolveOutcome)>> = Mutex::new(None);
-    let stats: Mutex<PbStats> = Mutex::new(PbStats::default());
-    let failed = AtomicUsize::new(0);
-
-    std::thread::scope(|s| {
-        for (index, &config) in configs.iter().enumerate() {
-            let worker_budget = budget.clone().with_cancel_token(race.clone());
-            let sharing_handle = sharing.map(|cfg| pool.handle(index, cfg));
-            let (race, winner, stats, cancel_mark, failed) =
-                (&race, &winner, &stats, &cancel_mark, &failed);
-            s.spawn(move || {
-                let run_start = Instant::now();
-                let injected = fault.and_then(|p| p.worker_panic(index));
-                let body = catch_unwind(AssertUnwindSafe(|| {
-                    let worker_budget = match injected {
-                        Some(n) => worker_budget.clone().with_max_conflicts(n),
-                        None => worker_budget,
-                    };
-                    let mut engine = PbEngine::from_formula(formula, config);
-                    engine.set_recorder(recorder.clone());
-                    if let Some(handle) = sharing_handle {
-                        engine.set_sharing(handle);
-                    }
-                    let out = engine.solve_with_budget(&worker_budget);
-                    if let Some(n) = injected {
-                        panic!("injected fault: worker {index} panicked after {n} conflicts");
-                    }
-                    let finish = Instant::now();
-                    add_stats(&mut lock_tolerant(stats), engine.stats());
-                    let mut won = false;
-                    if matches!(out, SolveOutcome::Sat(_) | SolveOutcome::Unsat) {
-                        let mut w = lock_tolerant(winner);
-                        if w.is_none() {
-                            *w = Some((index, out));
-                            cancel_mark.stamp();
-                            race.cancel();
-                            won = true;
-                        }
-                    }
-                    if recorder.is_enabled() {
-                        engine.flush_recorder();
-                        recorder.record_worker(WorkerTelemetry {
-                            index,
-                            kind: "cdcl".to_string(),
-                            seed: config.seed,
-                            config: config_label(&config),
-                            search: engine.stats().into(),
-                            won,
-                            cancel_latency: if won { None } else { cancel_mark.latency(finish) },
-                            run_time: finish.duration_since(run_start),
-                            failed: None,
-                            query: None,
-                        });
-                    }
-                }));
-                if let Err(payload) = body {
-                    failed.fetch_add(1, Ordering::Relaxed);
-                    if recorder.is_enabled() {
-                        recorder.record_worker(WorkerTelemetry {
-                            index,
-                            kind: "cdcl".to_string(),
-                            seed: config.seed,
-                            config: config_label(&config),
-                            search: SearchCounters::default(),
-                            won: false,
-                            cancel_latency: None,
-                            run_time: run_start.elapsed(),
-                            failed: Some(panic_summary(payload.as_ref())),
-                            query: None,
-                        });
-                    }
-                }
-            });
-        }
-    });
-
-    let (winner, outcome) = match lock_tolerant(&winner).take() {
-        Some((index, out)) => (Some((index, configs[index])), out),
-        None => (None, SolveOutcome::Unknown),
-    };
-    let mut stats = *lock_tolerant(&stats);
-    if !matches!(outcome, SolveOutcome::Unknown) {
-        // The race was decided; the losers' budget exhaustion is not the
-        // outcome's exhaustion.
-        stats.exhaust = None;
-    }
-    Ok(PortfolioOutcome { outcome, winner, stats, failed_workers: failed.load(Ordering::Relaxed) })
-}
-
-/// The shared incumbent of an optimization race: the best objective value
-/// (an `AtomicU64`, `u64::MAX` = none yet) plus a model attaining it.
-///
-/// Update protocol: the model goes into the mutex *before* the value is
-/// published with `fetch_min`, so any worker that observes value `v` in
-/// the atomic will find a model of value ≤ `v` behind the lock.
-struct Incumbent {
-    bound: AtomicU64,
-    model: Mutex<Option<(u64, Assignment)>>,
-}
-
-impl Incumbent {
-    fn new() -> Self {
-        Incumbent { bound: AtomicU64::new(u64::MAX), model: Mutex::new(None) }
-    }
-
-    /// Records `value`/`model` if it improves the incumbent. Returns the
-    /// best bound after the update.
-    fn offer(&self, value: u64, model: &Assignment) -> u64 {
-        {
-            let mut m = lock_tolerant(&self.model);
-            if m.as_ref().is_none_or(|(b, _)| value < *b) {
-                *m = Some((value, model.clone()));
-            }
-        }
-        self.bound.fetch_min(value, Ordering::Release).min(value)
-    }
-
-    fn bound(&self) -> u64 {
-        self.bound.load(Ordering::Acquire)
-    }
-
-    /// Clones the current best (value, model) pair.
-    fn snapshot(&self) -> Option<(u64, Assignment)> {
-        lock_tolerant(&self.model).clone()
-    }
-
-    fn take(self) -> Option<(u64, Assignment)> {
-        self.model.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// Adds `obj ≤ cut` to `engine` unless an equal or tighter cut is already
-/// present, tracking the tightest cut in `local_cut`.
-fn strengthen(
-    engine: &mut PbEngine,
-    objective: &sbgc_formula::Objective,
-    local_cut: &mut Option<u64>,
-    cut: u64,
-) {
-    if local_cut.is_none_or(|c| cut < c) {
-        engine.add_pb(PbConstraint::at_most(
-            objective.terms().iter().map(|&(c, l)| (c as i64, l)),
-            cut as i64,
-        ));
-        *local_cut = Some(cut);
-    }
-}
-
-/// Races one iterated-strengthening minimization loop per config.
-///
-/// Workers share their incumbent through an [`AtomicU64`] best bound: at
-/// each iteration a worker adopts the tightest known bound as an objective
-/// cut (`obj ≤ best − 1`), whether it was found locally or by a peer. The
-/// first worker to *prove* optimality (UNSAT under a cut) or infeasibility
-/// (UNSAT with no cut) cancels the rest. If the budget runs out first, the
-/// best shared incumbent is returned as `Feasible`.
-///
-/// Soundness of the UNSAT case: every clause in every worker's database —
-/// including clauses imported from peers via the shared pool — is entailed
-/// by the formula plus the tightest objective cut any worker ever held,
-/// and every cut is backed by a genuine incumbent model. A refutation
-/// therefore proves the shared incumbent optimal; with no incumbent it
-/// proves the formula infeasible (see
-/// [`optimize_portfolio_instrumented`] for the full argument).
-///
-/// # Errors
-///
-/// [`PortfolioError::NoWorkers`] if `configs` is empty,
-/// [`PortfolioError::MissingObjective`] if the formula has no objective.
-pub fn optimize_portfolio(
-    formula: &PbFormula,
-    configs: &[EngineConfig],
-    budget: &Budget,
-) -> Result<PortfolioOptOutcome, PortfolioError> {
-    optimize_portfolio_recorded(formula, configs, budget, &Recorder::disabled())
-}
-
-/// [`optimize_portfolio`] with observability: each worker flushes its
-/// search counters into `recorder` and records a [`WorkerTelemetry`]
-/// entry on exit. A disabled recorder makes this identical to
-/// [`optimize_portfolio`].
-///
-/// # Errors
-///
-/// [`PortfolioError::NoWorkers`] if `configs` is empty,
-/// [`PortfolioError::MissingObjective`] if the formula has no objective.
-pub fn optimize_portfolio_recorded(
-    formula: &PbFormula,
-    configs: &[EngineConfig],
-    budget: &Budget,
-    recorder: &Recorder,
-) -> Result<PortfolioOptOutcome, PortfolioError> {
-    optimize_portfolio_instrumented(
-        formula,
-        configs,
-        budget,
-        recorder,
-        None,
-        Some(SharingConfig::default()),
-    )
-}
-
-/// [`optimize_portfolio_recorded`] plus deterministic fault injection and
-/// a sharing override (see [`solve_portfolio_instrumented`]). Production
-/// callers pass `None` for `fault` and `Some(SharingConfig::default())`
-/// for `sharing`.
-///
-/// Clause sharing stays sound across the iterated-strengthening loop even
-/// though workers transiently carry *different* objective cuts. Every cut
-/// anywhere is `obj ≤ b − 1` for some published incumbent bound `b`, and
-/// the bound only decreases, so every clause in every database is entailed
-/// by `formula ∧ (obj ≤ bound − 1)` for the *current* shared bound. A
-/// refutation therefore proves the incumbent optimal — and is read that
-/// way (the UNSAT branch consults the incumbent, not just the local cut).
-/// Only when no incumbent was ever published (hence no cut ever existed
-/// and all shared clauses are formula-entailed) does UNSAT mean
-/// infeasible.
-///
-/// # Errors
-///
-/// [`PortfolioError::NoWorkers`] if `configs` is empty,
-/// [`PortfolioError::MissingObjective`] if the formula has no objective.
-pub fn optimize_portfolio_instrumented(
-    formula: &PbFormula,
-    configs: &[EngineConfig],
-    budget: &Budget,
-    recorder: &Recorder,
-    fault: Option<&FaultPlan>,
-    sharing: Option<SharingConfig>,
-) -> Result<PortfolioOptOutcome, PortfolioError> {
-    if configs.is_empty() {
-        return Err(PortfolioError::NoWorkers);
-    }
-    let objective = formula.objective().ok_or(PortfolioError::MissingObjective)?.clone();
-    let budget = budget.started();
-    let race = CancelToken::new();
-    let cancel_mark = CancelMark::new();
-    let incumbent = Incumbent::new();
-    let pool = SharedClausePool::new();
-    let winner: Mutex<Option<(usize, OptOutcome)>> = Mutex::new(None);
-    let stats: Mutex<PbStats> = Mutex::new(PbStats::default());
-    let failed = AtomicUsize::new(0);
-
-    std::thread::scope(|s| {
-        for (index, &config) in configs.iter().enumerate() {
-            let worker_budget = budget.clone().with_cancel_token(race.clone());
-            let sharing_handle = sharing.map(|cfg| pool.handle(index, cfg));
-            let (race, winner, stats, incumbent, objective, cancel_mark, failed) =
-                (&race, &winner, &stats, &incumbent, &objective, &cancel_mark, &failed);
-            s.spawn(move || {
-                let run_start = Instant::now();
-                let injected = fault.and_then(|p| p.worker_panic(index));
-                let body = catch_unwind(AssertUnwindSafe(|| {
-                    let worker_budget = match injected {
-                        Some(n) => worker_budget.clone().with_max_conflicts(n),
-                        None => worker_budget,
-                    };
-                    let mut engine = PbEngine::from_formula(formula, config);
-                    engine.set_recorder(recorder.clone());
-                    if let Some(handle) = sharing_handle {
-                        engine.set_sharing(handle);
-                    }
-                    // Tightest objective cut this worker's engine carries.
-                    let mut local_cut: Option<u64> = None;
-                    let decided = loop {
-                        // Adopt the shared incumbent before (re)solving.
-                        let shared = incumbent.bound();
-                        if shared == 0 {
-                            // A peer holds a zero-cost model: globally optimal,
-                            // that peer records the win.
-                            break None;
-                        }
-                        if shared != u64::MAX {
-                            strengthen(&mut engine, objective, &mut local_cut, shared - 1);
-                        }
-                        if worker_budget.exhausted(engine.stats().conflicts) {
-                            break None;
-                        }
-                        match engine.solve_with_budget(&worker_budget) {
-                            SolveOutcome::Sat(model) => {
-                                let value = objective.value(&model).expect("total model");
-                                incumbent.offer(value, &model);
-                                if value == 0 {
-                                    break Some(OptOutcome::Optimal { value: 0, model });
-                                }
-                                strengthen(&mut engine, objective, &mut local_cut, value - 1);
-                            }
-                            SolveOutcome::Unsat => {
-                                // Consult the incumbent *at refutation time*:
-                                // imported clauses are entailed by the formula
-                                // plus the tightest cut any peer ever held
-                                // (obj ≤ bound − 1), so this refutation proves
-                                // no model of value ≤ bound − 1 exists — the
-                                // incumbent (value = bound) is optimal. With
-                                // no incumbent anywhere, no cut ever existed,
-                                // every clause in every database is entailed
-                                // by the formula alone, and the formula is
-                                // genuinely infeasible.
-                                break Some(match incumbent.snapshot() {
-                                    None => OptOutcome::Infeasible,
-                                    Some((value, model)) => {
-                                        debug_assert!(local_cut.is_none_or(|c| value <= c + 1));
-                                        OptOutcome::Optimal { value, model }
-                                    }
-                                });
-                            }
-                            SolveOutcome::Unknown => break None,
-                        }
-                    };
-                    if let Some(n) = injected {
-                        panic!("injected fault: worker {index} panicked after {n} conflicts");
-                    }
-                    let finish = Instant::now();
-                    add_stats(&mut lock_tolerant(stats), engine.stats());
-                    let mut won = false;
-                    if let Some(outcome) = decided {
-                        let mut w = lock_tolerant(winner);
-                        if w.is_none() {
-                            *w = Some((index, outcome));
-                            cancel_mark.stamp();
-                            race.cancel();
-                            won = true;
-                        }
-                    }
-                    if recorder.is_enabled() {
-                        engine.flush_recorder();
-                        recorder.record_worker(WorkerTelemetry {
-                            index,
-                            kind: "cdcl".to_string(),
-                            seed: config.seed,
-                            config: config_label(&config),
-                            search: engine.stats().into(),
-                            won,
-                            cancel_latency: if won { None } else { cancel_mark.latency(finish) },
-                            run_time: finish.duration_since(run_start),
-                            failed: None,
-                            query: None,
-                        });
-                    }
-                }));
-                if let Err(payload) = body {
-                    failed.fetch_add(1, Ordering::Relaxed);
-                    if recorder.is_enabled() {
-                        recorder.record_worker(WorkerTelemetry {
-                            index,
-                            kind: "cdcl".to_string(),
-                            seed: config.seed,
-                            config: config_label(&config),
-                            search: SearchCounters::default(),
-                            won: false,
-                            cancel_latency: None,
-                            run_time: run_start.elapsed(),
-                            failed: Some(panic_summary(payload.as_ref())),
-                            query: None,
-                        });
-                    }
-                }
-            });
-        }
-    });
-
-    let mut stats = *lock_tolerant(&stats);
-    let failed_workers = failed.load(Ordering::Relaxed);
-    if let Some((index, outcome)) = lock_tolerant(&winner).take() {
-        stats.exhaust = None;
-        return Ok(PortfolioOptOutcome {
-            outcome,
-            winner: Some((index, configs[index])),
-            stats,
-            failed_workers,
-        });
-    }
-    let outcome = match incumbent.take() {
-        Some((value, model)) => OptOutcome::Feasible { value, model },
-        None => OptOutcome::Unknown,
-    };
-    Ok(PortfolioOptOutcome { outcome, winner: None, stats, failed_workers })
-}
-
 // ---------------------------------------------------------------------------
 // Persistent portfolio session
 // ---------------------------------------------------------------------------
@@ -743,7 +233,7 @@ pub fn optimize_portfolio_instrumented(
 /// Per-field difference of two cumulative stats snapshots — the work one
 /// query cost a persistent engine. Carries the *after* exhaustion reason
 /// (exhaustion is per-solve, not cumulative).
-fn stats_delta(before: PbStats, after: PbStats) -> PbStats {
+pub(crate) fn stats_delta(before: PbStats, after: PbStats) -> PbStats {
     let mut d = after;
     d.decisions -= before.decisions;
     d.conflicts -= before.conflicts;
@@ -756,6 +246,8 @@ fn stats_delta(before: PbStats, after: PbStats) -> PbStats {
     d.lbd_sum -= before.lbd_sum;
     d.exported -= before.exported;
     d.imported -= before.imported;
+    d.reductions -= before.reductions;
+    d.reclaimed -= before.reclaimed;
     d
 }
 
@@ -771,6 +263,20 @@ enum Command {
     /// learned from committed units can never reach a worker that has not
     /// committed them itself.
     Commit { units: Vec<Lit> },
+    /// Permanently add a PB constraint (an objective cut) before the next
+    /// query, with the same ordering guarantee as [`Command::Commit`].
+    Cut { constraint: PbConstraint },
+}
+
+/// Applies a commit to a live engine under `catch_unwind`. A panic here
+/// poisons the engine exactly like a mid-solve panic: it is never reused,
+/// and the worker reports `Died` at its next query.
+fn apply_commit(engine: &mut Result<PbEngine, String>, commit: impl FnOnce(&mut PbEngine)) {
+    if let Ok(eng) = engine.as_mut() {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| commit(eng))) {
+            *engine = Err(panic_summary(payload.as_ref()));
+        }
+    }
 }
 
 /// One worker's answer to one [`Command::Query`].
@@ -847,28 +353,26 @@ fn session_worker(
         e
     }))
     .map_err(|payload| panic_summary(payload.as_ref()));
-    // In a session the fault plan's `after_conflicts` value is reinterpreted
-    // as the 0-based *query index* at which this worker panics, modeling a
-    // worker dying between ladder steps (see `docs/ROBUSTNESS.md`).
+    // The fault plan names the 0-based query at whose start this worker
+    // panics, modeling a worker dying between ladder steps or
+    // strengthening iterations (see `docs/ROBUSTNESS.md`).
     let injected = fault.as_ref().and_then(|p| p.worker_panic(index));
     let stalled_from = fault.as_ref().and_then(|p| p.stalled_worker(index));
     while let Ok(command) = rx.recv() {
+        // `add_clause` and `add_pb` backtrack to the root themselves, so
+        // commits are safe between queries.
         let (id, assumptions, budget) = match command {
             Command::Query { id, assumptions, budget } => (id, assumptions, budget),
             Command::Commit { units } => {
-                // `add_clause` backtracks to the root itself, so a unit is
-                // safe to commit between queries. A panic here poisons the
-                // engine exactly like a mid-solve panic: never reuse it.
-                if let Ok(eng) = engine.as_mut() {
-                    let committed = catch_unwind(AssertUnwindSafe(|| {
-                        for &lit in &units {
-                            eng.add_clause([lit]);
-                        }
-                    }));
-                    if let Err(payload) = committed {
-                        engine = Err(panic_summary(payload.as_ref()));
+                apply_commit(&mut engine, |eng| {
+                    for &lit in &units {
+                        eng.add_clause([lit]);
                     }
-                }
+                });
+                continue;
+            }
+            Command::Cut { constraint } => {
+                apply_commit(&mut engine, |eng| eng.add_pb(constraint));
                 continue;
             }
         };
@@ -935,7 +439,9 @@ fn session_worker(
     }
 }
 
-/// Result of one [`PortfolioSession::query`].
+/// Result of one [`PortfolioSession::query`] — and of one
+/// [`crate::DecisionBackend::query`], where the sequential engine reports
+/// itself as worker 0.
 #[derive(Clone, Debug)]
 pub struct SessionQueryOutcome {
     /// The decision answer under the query's assumptions (first definitive
@@ -979,10 +485,9 @@ pub struct SessionQueryOutcome {
 /// axioms), so everything retained or shared is entailed by the formula
 /// itself and stays valid for every later query, whatever its assumptions.
 ///
-/// Fault tolerance matches the one-shot races: a worker that panics dies
-/// alone (its possibly-corrupt engine is never reused), later queries race
-/// the survivors, and a session whose workers have all died answers
-/// `Unknown`. With an enabled [`Recorder`], every query records one
+/// A worker that panics dies alone (its possibly-corrupt engine is never
+/// reused), later queries race the survivors, and a session whose workers
+/// have all died answers `Unknown`. With an enabled [`Recorder`], every query records one
 /// [`WorkerTelemetry`] entry per worker with the per-query counter delta
 /// and the query index in its `query` field.
 ///
@@ -1014,11 +519,12 @@ impl PortfolioSession {
     }
 
     /// [`PortfolioSession::new`] plus deterministic fault injection and a
-    /// sharing override. In a session, a [`FaultPlan`] worker panic's
-    /// `after_conflicts` value is reinterpreted as the 0-based **query
-    /// index** at which the worker panics (a worker dying *between* ladder
-    /// steps); the conflict-count reading only makes sense for one-shot
-    /// races. Production callers use [`PortfolioSession::new`].
+    /// sharing override. A [`FaultPlan`] worker panic names the 0-based
+    /// **query index** at whose start the worker panics (a worker dying
+    /// *between* ladder steps or strengthening iterations). `sharing`
+    /// selects the learned-clause export filter; `None` disables clause
+    /// sharing entirely, for A/B tests. Production callers use
+    /// [`PortfolioSession::new`].
     ///
     /// # Errors
     ///
@@ -1079,10 +585,35 @@ impl PortfolioSession {
     /// The call waits for *every* surviving worker to acknowledge the
     /// query (cancelled losers included) before returning, so the workers
     /// are quiescent — and their engines intact — when the next query
-    /// starts. The budget's deadline is armed on first use, exactly like
-    /// the one-shot races; conflict caps compare against each engine's
-    /// *cumulative* conflict count, so a `with_max_conflicts` budget caps
-    /// the session's total work, not each query's.
+    /// starts. The budget's deadline is armed on first use; conflict caps
+    /// compare against each engine's *cumulative* conflict count, so a
+    /// `with_max_conflicts` budget caps the session's total work, not each
+    /// query's.
+    ///
+    /// # Example
+    ///
+    /// A one-shot decision solve is a session with one query:
+    ///
+    /// ```
+    /// use sbgc_formula::PbFormula;
+    /// use sbgc_obs::Recorder;
+    /// use sbgc_pb::{portfolio_configs, Budget, PortfolioSession};
+    ///
+    /// let mut f = PbFormula::new();
+    /// let a = f.new_var().positive();
+    /// let b = f.new_var().positive();
+    /// f.add_clause([a, b]);
+    ///
+    /// let recorder = Recorder::new();
+    /// let mut session = PortfolioSession::new(&f, &portfolio_configs(2), &recorder)
+    ///     .expect("non-empty portfolio");
+    /// let out = session.query(&[], &Budget::unlimited());
+    /// assert!(out.outcome.is_sat());
+    /// let workers = recorder.workers();
+    /// assert_eq!(workers.len(), 2);
+    /// assert!(workers.iter().all(|w| w.query == Some(0)));
+    /// assert_eq!(workers.iter().filter(|w| w.won).count(), 1);
+    /// ```
     pub fn query(&mut self, assumptions: &[Lit], budget: &Budget) -> SessionQueryOutcome {
         let id = self.next_query;
         self.next_query += 1;
@@ -1203,6 +734,20 @@ impl PortfolioSession {
         }
     }
 
+    /// Permanently adds `constraint` (an objective cut) to every surviving
+    /// worker's engine, ahead of all later queries. Like
+    /// [`commit_units`](PortfolioSession::commit_units) this strengthens
+    /// the formula: the caller must hold a model that justifies the cut
+    /// (see [`crate::Optimizer::run`]).
+    pub fn commit_cut(&mut self, constraint: PbConstraint) {
+        for slot in &mut self.workers {
+            let Some(tx) = &slot.tx else { continue };
+            if tx.send(Command::Cut { constraint: constraint.clone() }).is_err() {
+                slot.retire();
+            }
+        }
+    }
+
     /// Number of workers still alive (spawned minus died).
     pub fn alive_workers(&self) -> usize {
         self.workers.iter().filter(|w| w.alive()).count()
@@ -1283,6 +828,7 @@ impl std::fmt::Debug for PortfolioSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DecisionBackend, OptOutcome, Optimizer};
     use sbgc_formula::{Lit, Objective, Var};
 
     fn covering() -> PbFormula {
@@ -1294,6 +840,24 @@ mod tests {
         f.add_clause([y[0], y[2]]);
         f.set_objective(Objective::minimize(y.iter().map(|&l| (1, l))));
         f
+    }
+
+    /// A session of `n` portfolio workers with the given instrumentation.
+    fn session(
+        f: &PbFormula,
+        n: usize,
+        rec: &Recorder,
+        fault: Option<&FaultPlan>,
+        sharing: Option<SharingConfig>,
+    ) -> PortfolioSession {
+        PortfolioSession::with_instrumentation(f, &portfolio_configs(n), rec, fault, sharing)
+            .expect("non-empty portfolio")
+    }
+
+    /// The linear-search optimizer over `session`.
+    fn optimizer(f: &PbFormula, session: PortfolioSession) -> Optimizer {
+        let objective = f.objective().expect("objective").clone();
+        Optimizer::with_backend(DecisionBackend::Portfolio(session), objective)
     }
 
     #[test]
@@ -1314,8 +878,9 @@ mod tests {
     fn decision_race_agrees_with_sequential() {
         let f = covering();
         for n in 1..=4 {
-            let out = solve_portfolio(&f, &portfolio_configs(n), &Budget::unlimited())
+            let mut s = PortfolioSession::new(&f, &portfolio_configs(n), &Recorder::disabled())
                 .expect("non-empty portfolio");
+            let out = s.query(&[], &Budget::unlimited());
             assert!(matches!(out.outcome, SolveOutcome::Sat(_)), "n={n}");
             assert!(out.winner.is_some());
             assert!(out.stats.decisions > 0);
@@ -1327,16 +892,16 @@ mod tests {
     fn optimization_race_finds_the_optimum() {
         let f = covering();
         for n in 1..=4 {
-            let out = optimize_portfolio(&f, &portfolio_configs(n), &Budget::unlimited())
-                .expect("non-empty portfolio");
-            match out.outcome {
+            let rec = Recorder::disabled();
+            let mut opt = optimizer(&f, session(&f, n, &rec, None, Some(SharingConfig::default())));
+            match opt.run(&Budget::unlimited()) {
                 OptOutcome::Optimal { value, ref model } => {
                     assert_eq!(value, 2, "n={n}");
                     assert!(f.is_satisfied_by(model), "n={n}");
                 }
                 ref other => panic!("n={n}: expected optimal, got {other:?}"),
             }
-            assert!(out.winner.is_some());
+            assert_eq!(opt.backend().alive_workers(), n);
         }
     }
 
@@ -1347,53 +912,57 @@ mod tests {
         f.add_unit(a);
         f.add_unit(!a);
         f.set_objective(Objective::minimize([(1, a)]));
-        let out = optimize_portfolio(&f, &portfolio_configs(3), &Budget::unlimited())
-            .expect("non-empty portfolio");
-        assert!(out.outcome.is_infeasible());
+        let mut opt = Optimizer::new(&f, SolverKind::PbsII, 3, &Recorder::disabled());
+        assert!(matches!(opt.backend(), DecisionBackend::Portfolio(_)));
+        assert!(opt.run(&Budget::unlimited()).is_infeasible());
     }
 
     #[test]
     fn empty_portfolio_is_a_typed_error() {
         let f = covering();
-        assert_eq!(
-            solve_portfolio(&f, &[], &Budget::unlimited()).unwrap_err(),
-            PortfolioError::NoWorkers
-        );
-        assert_eq!(
-            optimize_portfolio(&f, &[], &Budget::unlimited()).unwrap_err(),
-            PortfolioError::NoWorkers
-        );
+        let err = PortfolioSession::with_instrumentation(
+            &f,
+            &[],
+            &Recorder::disabled(),
+            None,
+            Some(SharingConfig::default()),
+        )
+        .unwrap_err();
+        assert_eq!(err, PortfolioError::NoWorkers);
+        assert!(err.to_string().contains("at least one"));
     }
 
     #[test]
-    fn missing_objective_is_a_typed_error() {
+    #[should_panic(expected = "objective")]
+    fn missing_objective_is_rejected() {
         let mut f = PbFormula::new();
         let a = f.new_var().positive();
         f.add_unit(a);
-        let err = optimize_portfolio(&f, &portfolio_configs(2), &Budget::unlimited()).unwrap_err();
-        assert_eq!(err, PortfolioError::MissingObjective);
-        assert!(err.to_string().contains("objective"));
+        let _ = Optimizer::new(&f, SolverKind::Portfolio, 2, &Recorder::disabled());
     }
 
     #[test]
     fn zero_budget_cancels_cleanly() {
         let f = covering();
         let b = Budget::unlimited().with_max_conflicts(0);
-        let out = optimize_portfolio(&f, &portfolio_configs(4), &b).expect("non-empty portfolio");
-        assert!(!out.outcome.is_infeasible());
+        let mut opt = Optimizer::new(&f, SolverKind::Portfolio, 4, &Recorder::disabled());
+        assert!(!opt.run(&b).is_infeasible());
     }
 
     #[test]
     fn recorded_race_captures_worker_telemetry() {
         let f = covering();
         let rec = Recorder::new();
-        let out =
-            optimize_portfolio_recorded(&f, &portfolio_configs(3), &Budget::unlimited(), &rec)
-                .expect("non-empty portfolio");
-        assert!(out.winner.is_some());
+        let mut opt = optimizer(&f, session(&f, 3, &rec, None, Some(SharingConfig::default())));
+        assert!(opt.run(&Budget::unlimited()).is_optimal());
         let workers = rec.workers();
-        assert_eq!(workers.len(), 3, "every worker records telemetry");
-        assert_eq!(workers.iter().filter(|w| w.won).count(), 1, "exactly one winner");
+        let queries = workers.iter().filter_map(|w| w.query).max().expect("tagged") + 1;
+        assert_eq!(workers.len() as u64, 3 * queries, "every worker records every query");
+        for q in 0..queries {
+            let per_query: Vec<_> = workers.iter().filter(|w| w.query == Some(q)).collect();
+            assert_eq!(per_query.len(), 3, "query {q}");
+            assert_eq!(per_query.iter().filter(|w| w.won).count(), 1, "query {q}: one winner");
+        }
         for w in &workers {
             assert_eq!(w.seed, w.index as u64, "portfolio seeds are worker indices");
             assert!(!w.config.is_empty());
@@ -1401,15 +970,15 @@ mod tests {
         }
         // The engines flushed their counters into the shared recorder.
         assert!(rec.counter(sbgc_obs::Counter::Decisions) > 0);
-        assert_eq!(rec.counter(sbgc_obs::Counter::Decisions), out.stats.decisions);
+        assert_eq!(rec.counter(sbgc_obs::Counter::Decisions), opt.stats().decisions);
     }
 
     #[test]
     fn disabled_recorder_keeps_portfolio_silent() {
         let f = covering();
         let rec = Recorder::disabled();
-        let out = solve_portfolio_recorded(&f, &portfolio_configs(2), &Budget::unlimited(), &rec)
-            .expect("non-empty portfolio");
+        let mut s = PortfolioSession::new(&f, &portfolio_configs(2), &rec).expect("non-empty");
+        let out = s.query(&[], &Budget::unlimited());
         assert!(matches!(out.outcome, SolveOutcome::Sat(_)));
         assert!(rec.workers().is_empty());
         assert_eq!(rec.counter(sbgc_obs::Counter::Decisions), 0);
@@ -1438,7 +1007,9 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let b = Budget::unlimited().with_cancel_token(token);
-        let out = solve_portfolio(&f, &portfolio_configs(4), &b).expect("non-empty portfolio");
+        let mut s = PortfolioSession::new(&f, &portfolio_configs(4), &Recorder::disabled())
+            .expect("non-empty portfolio");
+        let out = s.query(&[], &b);
         assert!(matches!(out.outcome, SolveOutcome::Unknown));
         assert!(out.winner.is_none());
     }
@@ -1447,29 +1018,24 @@ mod tests {
     fn injected_panic_leaves_survivors_winning() {
         let f = covering();
         let rec = Recorder::new();
-        // Kill worker 1 immediately; workers 0 and 2 survive and decide.
+        // Kill worker 1 at the first query; workers 0 and 2 survive and decide.
         let plan = FaultPlan::new(0).with_worker_panic(1, 0);
-        let out = optimize_portfolio_instrumented(
-            &f,
-            &portfolio_configs(3),
-            &Budget::unlimited(),
-            &rec,
-            Some(&plan),
-            Some(SharingConfig::default()),
-        )
-        .expect("non-empty portfolio");
-        match out.outcome {
+        let mut opt =
+            optimizer(&f, session(&f, 3, &rec, Some(&plan), Some(SharingConfig::default())));
+        match opt.run(&Budget::unlimited()) {
             OptOutcome::Optimal { value, .. } => assert_eq!(value, 2),
             ref other => panic!("survivors must decide, got {other:?}"),
         }
-        assert_eq!(out.failed_workers, 1);
-        let (winner_index, _) = out.winner.expect("a survivor won");
-        assert_ne!(winner_index, 1, "the dead worker cannot win");
+        assert_eq!(opt.backend().alive_workers(), 2, "exactly one worker died");
         let workers = rec.workers();
-        assert_eq!(workers.len(), 3, "dead workers still record telemetry");
+        assert!(
+            workers.iter().filter(|w| w.won).all(|w| w.index != 1),
+            "the dead worker cannot win"
+        );
         let dead: Vec<_> = workers.iter().filter(|w| w.failed.is_some()).collect();
-        assert_eq!(dead.len(), 1);
+        assert_eq!(dead.len(), 1, "dead workers still record telemetry");
         assert_eq!(dead[0].index, 1);
+        assert_eq!(dead[0].query, Some(0));
         assert!(dead[0].failed.as_deref().unwrap().contains("injected fault"));
         assert!(!dead[0].won);
     }
@@ -1478,15 +1044,9 @@ mod tests {
     fn injected_panic_in_decision_race_is_survivable() {
         let f = covering();
         let plan = FaultPlan::new(7).with_worker_panic(0, 0);
-        let out = solve_portfolio_instrumented(
-            &f,
-            &portfolio_configs(2),
-            &Budget::unlimited(),
-            &Recorder::disabled(),
-            Some(&plan),
-            Some(SharingConfig::default()),
-        )
-        .expect("non-empty portfolio");
+        let rec = Recorder::disabled();
+        let mut s = session(&f, 2, &rec, Some(&plan), Some(SharingConfig::default()));
+        let out = s.query(&[], &Budget::unlimited());
         assert!(matches!(out.outcome, SolveOutcome::Sat(_)));
         assert_eq!(out.failed_workers, 1);
         assert_eq!(out.winner.map(|(i, _)| i), Some(1));
@@ -1496,18 +1056,13 @@ mod tests {
     fn all_workers_dead_degrades_gracefully() {
         let f = covering();
         let plan = FaultPlan::new(0).with_worker_panic(0, 0);
-        let out = optimize_portfolio_instrumented(
-            &f,
-            &portfolio_configs(1),
-            &Budget::unlimited(),
-            &Recorder::disabled(),
-            Some(&plan),
-            Some(SharingConfig::default()),
-        )
-        .expect("non-empty portfolio");
-        assert!(matches!(out.outcome, OptOutcome::Unknown | OptOutcome::Feasible { .. }));
-        assert_eq!(out.failed_workers, 1);
-        assert!(out.winner.is_none());
+        let rec = Recorder::disabled();
+        let mut opt =
+            optimizer(&f, session(&f, 1, &rec, Some(&plan), Some(SharingConfig::default())));
+        let out = opt.run(&Budget::unlimited());
+        assert!(matches!(out, OptOutcome::Unknown | OptOutcome::Feasible { .. }));
+        assert_eq!(opt.backend().alive_workers(), 0, "the only worker died");
+        assert!(!out.is_decided(), "no winner");
     }
 
     /// Clausal pigeonhole PHP(holes + 1, holes): UNSAT, with enough
@@ -1539,43 +1094,20 @@ mod tests {
         // optimization race.
         let unsat = pigeonhole(4);
         let sat = covering();
+        let rec = Recorder::disabled();
         for sharing in [None, Some(SharingConfig::default())] {
-            let out = solve_portfolio_instrumented(
-                &unsat,
-                &portfolio_configs(3),
-                &Budget::unlimited(),
-                &Recorder::disabled(),
-                None,
-                sharing,
-            )
-            .expect("non-empty portfolio");
+            let out = session(&unsat, 3, &rec, None, sharing).query(&[], &Budget::unlimited());
             assert!(matches!(out.outcome, SolveOutcome::Unsat), "sharing={sharing:?}");
             if sharing.is_none() {
                 assert_eq!(out.stats.exported, 0, "disabled sharing must not export");
                 assert_eq!(out.stats.imported, 0, "disabled sharing must not import");
             }
 
-            let out = solve_portfolio_instrumented(
-                &sat,
-                &portfolio_configs(3),
-                &Budget::unlimited(),
-                &Recorder::disabled(),
-                None,
-                sharing,
-            )
-            .expect("non-empty portfolio");
+            let out = session(&sat, 3, &rec, None, sharing).query(&[], &Budget::unlimited());
             assert!(matches!(out.outcome, SolveOutcome::Sat(_)), "sharing={sharing:?}");
 
-            let out = optimize_portfolio_instrumented(
-                &sat,
-                &portfolio_configs(3),
-                &Budget::unlimited(),
-                &Recorder::disabled(),
-                None,
-                sharing,
-            )
-            .expect("non-empty portfolio");
-            match out.outcome {
+            let mut opt = optimizer(&sat, session(&sat, 3, &rec, None, sharing));
+            match opt.run(&Budget::unlimited()) {
                 OptOutcome::Optimal { value, .. } => assert_eq!(value, 2, "sharing={sharing:?}"),
                 ref other => panic!("sharing={sharing:?}: expected optimal, got {other:?}"),
             }
@@ -1589,8 +1121,8 @@ mod tests {
         // surface both so telemetry can report sharing traffic.
         let f = pigeonhole(5);
         let rec = Recorder::new();
-        let out = solve_portfolio_recorded(&f, &portfolio_configs(4), &Budget::unlimited(), &rec)
-            .expect("non-empty portfolio");
+        let mut s = PortfolioSession::new(&f, &portfolio_configs(4), &rec).expect("non-empty");
+        let out = s.query(&[], &Budget::unlimited());
         assert!(matches!(out.outcome, SolveOutcome::Unsat));
         assert!(out.stats.exported > 0, "no worker exported a glue clause");
         // Imports are likely but racy (the winner may finish before peers
@@ -1601,21 +1133,25 @@ mod tests {
 
     #[test]
     fn worker_panic_does_not_poison_the_shared_pool() {
-        // Kill one worker after a handful of conflicts — after it has had
-        // the chance to export — with sharing enabled: the pool must stay
-        // usable and the survivors must still refute the instance.
-        let f = pigeonhole(4);
+        // Worker 1 exports during query 0 and dies at the start of query 1,
+        // with sharing enabled: the pool must stay usable and the survivors
+        // must still refute the instance. Query 0 is capped far below what
+        // refuting PHP(7, 6) takes, so every worker runs to the cap.
+        let (f, gate) = gated_pigeonhole(6);
         let rec = Recorder::new();
-        let plan = FaultPlan::new(3).with_worker_panic(1, 5);
-        let out = solve_portfolio_instrumented(
-            &f,
-            &portfolio_configs(3),
-            &Budget::unlimited(),
-            &rec,
-            Some(&plan),
-            Some(SharingConfig::default()),
-        )
-        .expect("non-empty portfolio");
+        let plan = FaultPlan::new(3).with_worker_panic(1, 1);
+        let mut s = session(&f, 3, &rec, Some(&plan), Some(SharingConfig::default()));
+        let first = s.query(&[!gate], &Budget::unlimited().with_max_conflicts(64));
+        assert!(matches!(first.outcome, SolveOutcome::Unknown));
+        let exported: u64 = rec
+            .workers()
+            .iter()
+            .filter(|w| w.index == 1 && w.query == Some(0))
+            .map(|w| w.search.exported)
+            .sum();
+        assert!(exported > 0, "the doomed worker exported before dying");
+
+        let out = s.query(&[!gate], &Budget::unlimited());
         assert!(matches!(out.outcome, SolveOutcome::Unsat), "survivors must refute");
         assert_eq!(out.failed_workers, 1);
         let (winner_index, _) = out.winner.expect("a survivor won");

@@ -16,17 +16,70 @@ use sbgc_core::{
     ChromaticResult, ColoringEncoding, ProofStatus, SolveOptions,
 };
 use sbgc_formula::PbFormula;
+use sbgc_formula::{Lit, Objective, Var};
 use sbgc_graph::gen::{mycielski, queens};
 use sbgc_graph::Graph;
 use sbgc_obs::{FaultPlan, Recorder};
 use sbgc_pb::{
-    optimize_portfolio_instrumented, portfolio_configs, solve_portfolio_instrumented, Budget,
-    ExhaustReason, OptOutcome, SharingConfig, SolveOutcome,
+    optimize, portfolio_configs, Budget, DecisionBackend, ExhaustReason, OptOutcome, Optimizer,
+    PortfolioSession, SharingConfig, SolveOutcome, SolverKind,
 };
 use sbgc_proof::FileProofLogger;
 
 fn coloring_formula(graph: &Graph, k: usize) -> PbFormula {
     ColoringEncoding::new(graph, k).formula().clone()
+}
+
+/// A session of `workers` portfolio workers with clause sharing on and
+/// the given fault plan.
+fn session(
+    formula: &PbFormula,
+    workers: usize,
+    rec: &Recorder,
+    plan: Option<&FaultPlan>,
+) -> PortfolioSession {
+    PortfolioSession::with_instrumentation(
+        formula,
+        &portfolio_configs(workers),
+        rec,
+        plan,
+        Some(SharingConfig::default()),
+    )
+    .expect("non-empty portfolio")
+}
+
+/// Linear-search optimization over a faulted session of `workers`.
+fn faulted_optimizer(
+    formula: &PbFormula,
+    workers: usize,
+    rec: &Recorder,
+    plan: &FaultPlan,
+) -> Optimizer {
+    let objective = formula.objective().expect("coloring objective").clone();
+    Optimizer::with_backend(
+        DecisionBackend::Portfolio(session(formula, workers, rec, Some(plan))),
+        objective,
+    )
+}
+
+/// Pigeonhole behind a gate literal: UNSAT under `¬gate`, SAT outright.
+fn gated_pigeonhole(holes: usize) -> (PbFormula, Lit) {
+    let pigeons = holes + 1;
+    let mut f = PbFormula::new();
+    let gate = f.new_var().positive();
+    let x: Vec<Vec<Lit>> =
+        (0..pigeons).map(|_| f.new_vars(holes).into_iter().map(Var::positive).collect()).collect();
+    for p in &x {
+        f.add_clause(p.iter().copied().chain([gate]));
+    }
+    for p in 0..pigeons {
+        for q in p + 1..pigeons {
+            for (&ph, &qh) in x[p].iter().zip(&x[q]) {
+                f.add_clause([!ph, !qh]);
+            }
+        }
+    }
+    (f, gate)
 }
 
 fn unsat_cnf(graph: &Graph, k: usize) -> PbFormula {
@@ -45,27 +98,19 @@ fn mid_race_panic_yields_correct_answer_from_survivors() {
     let formula = coloring_formula(&queens(5, 5), 7);
     let plan = FaultPlan::new(3).with_worker_panic(1, 0);
     let rec = Recorder::new();
-    let out = optimize_portfolio_instrumented(
-        &formula,
-        &portfolio_configs(3),
-        &Budget::unlimited(),
-        &rec,
-        Some(&plan),
-        Some(SharingConfig::default()),
-    )
-    .expect("non-empty portfolio");
+    let mut opt = faulted_optimizer(&formula, 3, &rec, &plan);
 
-    match out.outcome {
+    match opt.run(&Budget::unlimited()) {
         OptOutcome::Optimal { value, .. } => assert_eq!(value, 5),
         ref other => panic!("survivors must still decide, got {other:?}"),
     }
-    assert_eq!(out.failed_workers, 1);
-    let (winner, _) = out.winner.expect("a survivor won");
-    assert_ne!(winner, 1, "the dead worker cannot win");
+    assert_eq!(opt.backend().alive_workers(), 2, "exactly one worker died");
 
-    // Telemetry: all three workers reported, exactly one marked failed.
+    // Telemetry: all three workers reported on query 0, exactly one marked
+    // failed, and the dead worker won nothing.
     let workers = rec.workers();
-    assert_eq!(workers.len(), 3);
+    assert_eq!(workers.iter().filter(|w| w.query == Some(0)).count(), 3);
+    assert!(workers.iter().filter(|w| w.won).all(|w| w.index != 1), "the dead worker cannot win");
     let dead: Vec<_> = workers.iter().filter(|w| w.failed.is_some()).collect();
     assert_eq!(dead.len(), 1);
     assert_eq!(dead[0].index, 1);
@@ -81,18 +126,12 @@ fn injected_faults_replay_deterministically() {
     let run = || {
         let plan = FaultPlan::new(11).with_seeded_worker_panic(4, 0);
         let rec = Recorder::new();
-        let out = optimize_portfolio_instrumented(
-            &formula,
-            &portfolio_configs(4),
-            &Budget::unlimited(),
-            &rec,
-            Some(&plan),
-            Some(SharingConfig::default()),
-        )
-        .expect("non-empty portfolio");
+        let mut opt = faulted_optimizer(&formula, 4, &rec, &plan);
+        let value = opt.run(&Budget::unlimited()).value();
+        let failed = 4 - opt.backend().alive_workers();
         let dead: Vec<usize> =
             rec.workers().iter().filter(|w| w.failed.is_some()).map(|w| w.index).collect();
-        (out.outcome.value(), out.failed_workers, dead)
+        (value, failed, dead)
     };
     let (value_a, failed_a, dead_a) = run();
     let (value_b, failed_b, dead_b) = run();
@@ -108,28 +147,12 @@ fn panicked_race_leaves_shared_state_usable() {
     let formula = coloring_formula(&Graph::complete(4), 5);
     let rec = Recorder::new();
     let plan = FaultPlan::new(0).with_worker_panic(0, 0);
-    let first = solve_portfolio_instrumented(
-        &formula,
-        &portfolio_configs(2),
-        &Budget::unlimited(),
-        &rec,
-        Some(&plan),
-        Some(SharingConfig::default()),
-    )
-    .expect("non-empty portfolio");
+    let first = session(&formula, 2, &rec, Some(&plan)).query(&[], &Budget::unlimited());
     assert!(matches!(first.outcome, SolveOutcome::Sat(_)));
     assert_eq!(first.failed_workers, 1);
 
     // Same recorder, no faults: the second race must behave normally.
-    let second = solve_portfolio_instrumented(
-        &formula,
-        &portfolio_configs(2),
-        &Budget::unlimited(),
-        &rec,
-        None,
-        Some(SharingConfig::default()),
-    )
-    .expect("non-empty portfolio");
+    let second = session(&formula, 2, &rec, None).query(&[], &Budget::unlimited());
     assert!(matches!(second.outcome, SolveOutcome::Sat(_)));
     assert_eq!(second.failed_workers, 0);
     assert_eq!(rec.workers().len(), 4, "both races recorded telemetry");
@@ -137,53 +160,90 @@ fn panicked_race_leaves_shared_state_usable() {
 
 #[test]
 fn mid_export_panic_leaves_the_clause_pool_usable() {
-    // Kill a worker a few conflicts in — after it has had the chance to
-    // export learned clauses into the shared pool. The pool must not be
-    // poisoned for the survivors, who keep importing and still prove
-    // χ(myciel3) = 4; the dead worker's published clauses stay valid
-    // (they are formula-entailed regardless of who learned them).
-    let formula = coloring_formula(&mycielski(3), 6);
+    // Worker 2 exports learned clauses into the shared pool during query 0
+    // and dies at the start of query 1. The pool must not be poisoned for
+    // the survivors, who keep importing and still refute the gated
+    // pigeonhole; the dead worker's published clauses stay valid (they are
+    // formula-entailed regardless of who learned them). Query 0 is capped
+    // far below what refuting PHP(7, 6) takes, so every worker runs to the
+    // cap.
+    let (formula, gate) = gated_pigeonhole(6);
     let rec = Recorder::new();
-    let plan = FaultPlan::new(5).with_worker_panic(2, 8);
-    let out = optimize_portfolio_instrumented(
-        &formula,
-        &portfolio_configs(4),
-        &Budget::unlimited(),
-        &rec,
-        Some(&plan),
-        Some(SharingConfig::default()),
-    )
-    .expect("non-empty portfolio");
-    match out.outcome {
-        OptOutcome::Optimal { value, .. } => assert_eq!(value, 4, "χ(myciel3) = 4"),
-        ref other => panic!("survivors must still decide, got {other:?}"),
-    }
+    let plan = FaultPlan::new(5).with_worker_panic(2, 1);
+    let mut s = session(&formula, 4, &rec, Some(&plan));
+    let first = s.query(&[!gate], &Budget::unlimited().with_max_conflicts(64));
+    assert!(matches!(first.outcome, SolveOutcome::Unknown));
+    let exported: u64 = rec
+        .workers()
+        .iter()
+        .filter(|w| w.index == 2 && w.query == Some(0))
+        .map(|w| w.search.exported)
+        .sum();
+    assert!(exported > 0, "the doomed worker exported before dying");
+
+    let out = s.query(&[!gate], &Budget::unlimited());
+    assert!(matches!(out.outcome, SolveOutcome::Unsat), "survivors must still refute");
     assert_eq!(out.failed_workers, 1);
     let (winner_index, _) = out.winner.expect("a survivor won");
     assert_ne!(winner_index, 2, "the dead worker cannot win");
     // The sharing counters flowed through telemetry despite the casualty.
-    // The recorder may hold *more* than the summed stats: the dead worker
-    // flushed partial counts mid-solve but never reached the final sum.
-    assert!(rec.counter(sbgc_obs::Counter::Exported) >= out.stats.exported);
-    assert!(rec.counter(sbgc_obs::Counter::Imported) >= out.stats.imported);
+    assert!(rec.counter(sbgc_obs::Counter::Exported) >= first.stats.exported + out.stats.exported);
+    assert!(rec.counter(sbgc_obs::Counter::Imported) >= first.stats.imported + out.stats.imported);
 }
 
 #[test]
 fn killing_the_only_worker_degrades_to_unknown() {
     let formula = coloring_formula(&queens(5, 5), 7);
     let plan = FaultPlan::new(0).with_worker_panic(0, 0);
-    let out = optimize_portfolio_instrumented(
-        &formula,
-        &portfolio_configs(1),
-        &Budget::unlimited(),
-        &Recorder::disabled(),
-        Some(&plan),
-        Some(SharingConfig::default()),
-    )
-    .expect("non-empty portfolio");
-    assert!(!out.outcome.is_optimal(), "no survivor can have proven optimality");
-    assert!(out.winner.is_none());
-    assert_eq!(out.failed_workers, 1);
+    let mut opt = faulted_optimizer(&formula, 1, &Recorder::disabled(), &plan);
+    let out = opt.run(&Budget::unlimited());
+    assert!(!out.is_optimal(), "no survivor can have proven optimality");
+    assert!(!out.is_decided(), "no winner");
+    assert_eq!(opt.backend().alive_workers(), 0, "the only worker died");
+}
+
+/// Maximum independent set of `graph` as a minimization: one variable per
+/// vertex, a clause per edge, and the objective counts the vertices left
+/// out. The all-false phase of the sequential preset finds the worst model
+/// first, so the strengthening loop runs through many improvements.
+fn independent_set_formula(graph: &Graph) -> PbFormula {
+    let mut f = PbFormula::new();
+    let x: Vec<Lit> = f.new_vars(graph.num_vertices()).into_iter().map(Var::positive).collect();
+    for (u, v) in graph.edges() {
+        f.add_clause([!x[u], !x[v]]);
+    }
+    f.set_objective(Objective::minimize(x.iter().map(|&l| (1, !l))));
+    f
+}
+
+#[test]
+fn worker_death_between_improvements_keeps_the_sequential_optimum() {
+    // Worker 1 dies at the start of query 1: after the first model's
+    // objective cut was committed to every worker, before the next
+    // improvement. The survivors must carry the strengthening loop on to
+    // the same optimum as the sequential optimizer (36 − α = 30 cells
+    // left empty on the 6×6 queens board).
+    let formula = independent_set_formula(&queens(6, 6));
+    let sequential = optimize(&formula, SolverKind::PbsII, &Budget::unlimited());
+    assert_eq!(sequential.value(), Some(30));
+    assert!(sequential.is_optimal());
+    let rec = Recorder::new();
+    let plan = FaultPlan::new(2).with_worker_panic(1, 1);
+    let mut opt = faulted_optimizer(&formula, 3, &rec, &plan);
+    let out = opt.run(&Budget::unlimited());
+    assert!(out.is_optimal(), "survivors must prove optimality, got {out:?}");
+    assert_eq!(out.value(), sequential.value());
+    assert!(formula.is_satisfied_by(out.model().expect("optimal model")));
+    assert_eq!(opt.backend().alive_workers(), 2);
+
+    let workers = rec.workers();
+    let dead: Vec<_> = workers.iter().filter(|w| w.failed.is_some()).collect();
+    assert_eq!(dead.len(), 1);
+    assert_eq!((dead[0].index, dead[0].query), (1, Some(1)));
+    // Queries 0 and 1 both ended in an improvement: the loop issued at
+    // least one more query (the next improvement or the optimality proof).
+    let last = workers.iter().filter_map(|w| w.query).max().expect("tagged");
+    assert!(last >= 2, "expected two improvements, got {} queries", last + 1);
 }
 
 #[test]

@@ -10,8 +10,8 @@
 use sbgc_core::{solve_coloring, ColoringEncoding, Graph, SolveOptions};
 use sbgc_graph::gen::{mycielski, queens};
 use sbgc_pb::{
-    optimize, optimize_portfolio, portfolio_configs, solve_decision, solve_portfolio, Budget,
-    CancelToken, SolveOutcome, SolverKind,
+    optimize, portfolio_configs, solve_decision, Budget, CancelToken, DecisionBackend, OptOutcome,
+    Optimizer, PortfolioSession, Recorder, SessionQueryOutcome, SolveOutcome, SolverKind,
 };
 
 fn tier1_graphs() -> Vec<(&'static str, Graph, usize)> {
@@ -32,6 +32,23 @@ fn coloring_formula(graph: &Graph, k: usize) -> sbgc_formula::PbFormula {
     enc.formula().clone()
 }
 
+/// A one-shot decision race: a fresh session of `workers` answering one
+/// assumption-free query.
+fn race(formula: &sbgc_formula::PbFormula, workers: usize, budget: &Budget) -> SessionQueryOutcome {
+    PortfolioSession::new(formula, &portfolio_configs(workers), &Recorder::disabled())
+        .expect("non-empty portfolio")
+        .query(&[], budget)
+}
+
+/// Linear-search optimization over a fresh session of `workers`.
+fn optimize_race(formula: &sbgc_formula::PbFormula, workers: usize, budget: &Budget) -> OptOutcome {
+    let session =
+        PortfolioSession::new(formula, &portfolio_configs(workers), &Recorder::disabled())
+            .expect("non-empty portfolio");
+    let objective = formula.objective().expect("coloring objective").clone();
+    Optimizer::with_backend(DecisionBackend::Portfolio(session), objective).run(budget)
+}
+
 #[test]
 fn optimization_agrees_for_one_to_four_workers() {
     for (name, graph, chi) in tier1_graphs() {
@@ -39,12 +56,10 @@ fn optimization_agrees_for_one_to_four_workers() {
         let sequential = optimize(&formula, SolverKind::PbsII, &Budget::unlimited());
         assert_eq!(sequential.value(), Some(chi as u64), "{name}: sequential");
         for workers in 1..=4 {
-            let out =
-                optimize_portfolio(&formula, &portfolio_configs(workers), &Budget::unlimited())
-                    .expect("non-empty portfolio with objective");
-            assert!(out.outcome.is_optimal(), "{name} with {workers} workers: not optimal");
+            let out = optimize_race(&formula, workers, &Budget::unlimited());
+            assert!(out.is_optimal(), "{name} with {workers} workers: not optimal");
             assert_eq!(
-                out.outcome.value(),
+                out.value(),
                 sequential.value(),
                 "{name} with {workers} workers: color count"
             );
@@ -62,9 +77,7 @@ fn decision_agrees_for_one_to_four_workers() {
             let sequential = solve_decision(&formula, SolverKind::PbsII, &Budget::unlimited());
             assert_eq!(sequential.is_sat(), expect_sat, "{name} K={k}: sequential");
             for workers in 1..=4 {
-                let out =
-                    solve_portfolio(&formula, &portfolio_configs(workers), &Budget::unlimited())
-                        .expect("non-empty portfolio");
+                let out = race(&formula, workers, &Budget::unlimited());
                 match (expect_sat, &out.outcome) {
                     (true, SolveOutcome::Sat(model)) => {
                         assert!(formula.is_satisfied_by(model), "{name} K={k} w={workers}");
@@ -99,15 +112,13 @@ fn cancelled_workers_terminate_cleanly() {
     let token = CancelToken::new();
     token.cancel();
     let budget = Budget::unlimited().with_cancel_token(token);
-    let out =
-        solve_portfolio(&formula, &portfolio_configs(4), &budget).expect("non-empty portfolio");
+    let out = race(&formula, 4, &budget);
     assert!(matches!(out.outcome, SolveOutcome::Unknown));
     assert!(out.winner.is_none());
 
     // And a race that is won cancels the losers without poisoning stats:
     // total conflicts must be finite and the answer definitive.
-    let out = solve_portfolio(&formula, &portfolio_configs(4), &Budget::unlimited())
-        .expect("non-empty portfolio");
+    let out = race(&formula, 4, &Budget::unlimited());
     assert!(matches!(out.outcome, SolveOutcome::Sat(_)));
 }
 
@@ -116,11 +127,6 @@ fn portfolio_respects_conflict_budgets() {
     // Every worker shares the caller's conflict cap, so a zero budget
     // cannot produce a definitive optimization answer on a hard instance.
     let formula = coloring_formula(&queens(6, 6), 7);
-    let out = optimize_portfolio(
-        &formula,
-        &portfolio_configs(4),
-        &Budget::unlimited().with_max_conflicts(0),
-    )
-    .expect("non-empty portfolio with objective");
-    assert!(!out.outcome.is_decided());
+    let out = optimize_race(&formula, 4, &Budget::unlimited().with_max_conflicts(0));
+    assert!(!out.is_decided());
 }
