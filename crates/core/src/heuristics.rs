@@ -39,11 +39,16 @@
 //! # Determinism
 //!
 //! Every worker is seeded by [`sbgc_heur::derive_seed`] from a fixed
-//! stream constant and its worker index, runs a fixed iteration budget,
-//! and uses no timing- or hash-order-dependent state. Cancellation can
-//! only stop a worker *earlier*, and fires only once the bracket is
-//! collapsed — a state no further offer can improve — so the final
-//! `(lower, upper)` pair is identical across runs on the same input.
+//! stream constant and its worker index and uses no timing- or
+//! hash-order-dependent state. Each descent level is an attempt with the
+//! iteration budget `iters_per_level`, which ends early once the attempt
+//! stalls: after `budget /` [`sbgc_heur::STALL_DIVISOR`] consecutive
+//! iterations without a new best score. The stall stop counts iterations,
+//! not time, so where a level gives up is as reproducible as the moves
+//! before it. Cancellation can only stop a worker *earlier*, and fires
+//! only once the bracket is collapsed — a state no further offer can
+//! improve — so the final `(lower, upper)` pair is identical across runs
+//! on the same input.
 
 use crate::chromatic::ChromaticBounds;
 use crate::flow::SolveOptions;
@@ -61,7 +66,11 @@ use std::time::Instant;
 /// their index stream (see the module docs on determinism).
 const SEED_BASE: u64 = 0x5bc0_c01a_b0a7_ed01;
 
-/// Iterations each descent worker may spend per target k.
+/// Hard cap on the iterations each descent worker may spend per target k.
+/// An attempt gives up sooner once this cap over
+/// [`sbgc_heur::STALL_DIVISOR`] iterations in a row bring no new best
+/// score: almost every failed attempt is at a level below χ, where the
+/// rest of the budget would be spent in vain.
 fn iters_per_level(graph: &Graph) -> u64 {
     20_000 + 400 * graph.num_vertices() as u64
 }

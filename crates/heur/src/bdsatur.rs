@@ -92,15 +92,15 @@ impl<'g> Searcher<'g> {
     }
 
     fn search(&mut self, remaining: usize, used: usize) {
-        if remaining == 0 {
-            // Complete proper coloring with `used` colors; the color cap in
-            // the branching loop guarantees used < best_k.
-            debug_assert!(used < self.best_k);
-            self.best_k = used;
-            self.best.copy_from_slice(&self.col);
+        // Checked before the leaf case: a sibling subtree may have lowered
+        // `best_k` to this node's `used` since the caller last checked.
+        if used >= self.best_k {
             return;
         }
-        if used >= self.best_k {
+        if remaining == 0 {
+            // Complete proper coloring with fewer colors than the best.
+            self.best_k = used;
+            self.best.copy_from_slice(&self.col);
             return;
         }
         if self.nodes_left == 0 {
@@ -196,13 +196,19 @@ mod tests {
 
     #[test]
     fn exact_on_known_graphs() {
-        let cases: [(&str, Graph, usize); 6] = [
+        let cases: [(&str, Graph, usize); 9] = [
             ("k4", Graph::complete(4), 4),
             ("c5", Graph::cycle(5), 3),
             ("c6", Graph::cycle(6), 2),
             ("myciel3", gen::mycielski(3), 4),
             ("myciel4", gen::mycielski(4), 5),
             ("queen5_5", gen::queens(5, 5), 5),
+            // On these draws a subtree lowers the best count to its
+            // ancestors' color count, so sibling subtrees reach complete
+            // colorings that merely tie it; they must be pruned.
+            ("gnp36_2", gen::gnp(36, 0.5, 2), 8),
+            ("gnp36_9", gen::gnp(36, 0.5, 9), 8),
+            ("gnp36_10", gen::gnp(36, 0.5, 10), 8),
         ];
         for (name, graph, chi) in cases {
             match backtracking_dsatur(&graph, 10_000_000) {

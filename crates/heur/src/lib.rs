@@ -59,9 +59,37 @@ pub mod rlf;
 pub mod rng;
 pub mod tabucol;
 
+/// How patient [`tabucol()`] and [`partialcol()`] are with a level that has
+/// stopped improving: an attempt with budget `max_iters` gives up after
+/// `max_iters / STALL_DIVISOR` consecutive iterations without a new best
+/// score (fewest conflicting edges, resp. fewest uncolored vertices).
+///
+/// Failed attempts in the hybrid race are almost always at an infeasible
+/// level (k < χ), where no budget helps, while a level that succeeds
+/// usually does so within a few dozen iterations. `max_iters` itself stays
+/// the hard cap: a stall-only rule lets slow late improvements keep
+/// restarting the window. The stop counts iterations, not time, so it
+/// keeps every search a pure function of its arguments.
+pub const STALL_DIVISOR: u64 = 8;
+
 pub use bdsatur::{backtracking_dsatur, BdsaturResult};
 pub use clique::clique_search;
 pub use partialcol::partialcol;
 pub use rlf::rlf;
 pub use rng::{derive_seed, SplitMix64};
 pub use tabucol::{tabucol, tabucol_from};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sbgc_graph::Graph;
+
+    #[test]
+    fn zero_colors_cannot_color_a_non_empty_graph() {
+        let g = Graph::cycle(5);
+        assert!(tabucol(&g, 0, 1, 1_000, || false).is_none());
+        let start = vec![0; g.num_vertices()];
+        assert!(tabucol_from(&g, 0, start, &mut SplitMix64::new(1), 1_000, || false).is_none());
+        assert!(partialcol(&g, 0, 1, 1_000, || false).is_none());
+    }
+}

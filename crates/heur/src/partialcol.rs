@@ -7,15 +7,20 @@
 //! landscapes, which is why both run in the hybrid race.
 
 use crate::rng::SplitMix64;
+use crate::STALL_DIVISOR;
 use sbgc_graph::{Coloring, Graph};
 
 const UNCOLORED: usize = usize::MAX;
 
 /// Searches for a proper `k`-coloring of `graph` via partial assignments.
 ///
-/// Returns `Some(coloring)` once every vertex is colored, or `None` when
-/// `max_iters` iterations elapse or `should_stop` reports cancellation. The
-/// move sequence is a pure function of `(graph, k, seed)`.
+/// Returns `Some(coloring)` once every vertex is colored, or `None` when the
+/// attempt gives up or `should_stop` reports cancellation. `max_iters` is
+/// the hard cap on iterations; the attempt also gives up after
+/// `max_iters /` [`STALL_DIVISOR`] consecutive iterations that do not lower
+/// the fewest uncolored vertices seen so far. Both stops count iterations,
+/// so the move sequence — and whether the attempt succeeds — is a pure
+/// function of `(graph, k, seed, max_iters)`.
 pub fn partialcol<F: FnMut() -> bool>(
     graph: &Graph,
     k: usize,
@@ -59,6 +64,8 @@ pub fn partialcol<F: FnMut() -> bool>(
     }
 
     let mut best_u = uncolored.len();
+    let stall_limit = max_iters / STALL_DIVISOR;
+    let mut last_improvement = 0u64;
     let mut tabu = vec![0u64; n * k];
 
     for iter in 1..=max_iters {
@@ -132,7 +139,12 @@ pub fn partialcol<F: FnMut() -> bool>(
         if uncolored.is_empty() {
             return Some(Coloring::new(col));
         }
-        best_u = best_u.min(uncolored.len());
+        if uncolored.len() < best_u {
+            best_u = uncolored.len();
+            last_improvement = iter;
+        } else if iter - last_improvement >= stall_limit {
+            return None;
+        }
     }
     None
 }
@@ -161,6 +173,21 @@ mod tests {
     #[test]
     fn refuses_below_chromatic_number() {
         assert!(partialcol(&Graph::complete(4), 3, 5, 20_000, || false).is_none());
+    }
+
+    #[test]
+    fn infeasible_level_ends_on_stall() {
+        // K6 has no 5-coloring: one uncolored vertex is the best any
+        // partial assignment reaches, so after that the attempt only stalls.
+        let max_iters = 1_000_000;
+        let mut polls = 0u64;
+        let found = partialcol(&Graph::complete(6), 5, 11, max_iters, || {
+            polls += 1;
+            false
+        });
+        assert!(found.is_none());
+        // `should_stop` is polled once per 64 iterations.
+        assert!(polls * 64 <= max_iters / 4, "ran {} iterations", polls * 64);
     }
 
     #[test]

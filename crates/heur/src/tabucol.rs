@@ -8,14 +8,19 @@
 //! allowed when it beats the best assignment seen so far.
 
 use crate::rng::SplitMix64;
+use crate::STALL_DIVISOR;
 use sbgc_graph::{Coloring, Graph};
 
 /// Searches for a proper `k`-coloring of `graph`.
 ///
 /// Returns `Some(coloring)` as soon as an assignment with zero conflicting
-/// edges is found, or `None` when `max_iters` iterations elapse or
-/// `should_stop` reports cancellation first. The move sequence is a pure
-/// function of `(graph, k, seed)`.
+/// edges is found, or `None` when the attempt gives up or `should_stop`
+/// reports cancellation first. `max_iters` is the hard cap on iterations;
+/// the attempt also gives up after `max_iters /` [`STALL_DIVISOR`]
+/// consecutive iterations that do not lower the fewest conflicting edges
+/// seen so far. Both stops count iterations, so the move sequence — and
+/// whether the attempt succeeds — is a pure function of
+/// `(graph, k, seed, max_iters)`.
 pub fn tabucol<F: FnMut() -> bool>(
     graph: &Graph,
     k: usize,
@@ -23,6 +28,10 @@ pub fn tabucol<F: FnMut() -> bool>(
     max_iters: u64,
     should_stop: F,
 ) -> Option<Coloring> {
+    if k == 0 && graph.num_vertices() > 0 {
+        // No color to build a start assignment from.
+        return None;
+    }
     let mut rng = SplitMix64::new(seed);
     let init = greedy_k_assignment(graph, k, &mut rng);
     tabucol_from(graph, k, init, &mut rng, max_iters, should_stop)
@@ -32,7 +41,8 @@ pub fn tabucol<F: FnMut() -> bool>(
 ///
 /// `start[v]` must be in `0..k` for every vertex. This is the entry point
 /// the descent driver uses to reuse the previous level's coloring with the
-/// top class collapsed.
+/// top class collapsed. `max_iters` and the stall stop work as in
+/// [`tabucol`].
 pub fn tabucol_from<F: FnMut() -> bool>(
     graph: &Graph,
     k: usize,
@@ -78,6 +88,8 @@ pub fn tabucol_from<F: FnMut() -> bool>(
     }
 
     let mut best_conflicts = conflicts;
+    let stall_limit = max_iters / STALL_DIVISOR;
+    let mut last_improvement = 0u64;
     // tabu[v * k + c]: first iteration at which recoloring v to c is allowed
     // again.
     let mut tabu = vec![0u64; n * k];
@@ -164,7 +176,12 @@ pub fn tabucol_from<F: FnMut() -> bool>(
         if conflicts == 0 {
             return Some(Coloring::new(col));
         }
-        best_conflicts = best_conflicts.min(conflicts);
+        if conflicts < best_conflicts {
+            best_conflicts = conflicts;
+            last_improvement = iter;
+        } else if iter - last_improvement >= stall_limit {
+            return None;
+        }
     }
     None
 }
@@ -221,6 +238,21 @@ mod tests {
     fn refuses_below_chromatic_number() {
         // K4 cannot be 3-colored; the search must time out, not lie.
         assert!(tabucol(&Graph::complete(4), 3, 5, 20_000, || false).is_none());
+    }
+
+    #[test]
+    fn infeasible_level_ends_on_stall() {
+        // K6 has no 5-coloring: one conflicting edge is the best any
+        // assignment reaches, so after that the attempt only stalls.
+        let max_iters = 1_000_000;
+        let mut polls = 0u64;
+        let found = tabucol(&Graph::complete(6), 5, 11, max_iters, || {
+            polls += 1;
+            false
+        });
+        assert!(found.is_none());
+        // `should_stop` is polled once per 64 iterations.
+        assert!(polls * 64 <= max_iters / 4, "ran {} iterations", polls * 64);
     }
 
     #[test]

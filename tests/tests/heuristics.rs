@@ -74,7 +74,10 @@ fn heuristic_race_replays_deterministically() {
     // Same input, same seeds, same iteration budgets: the race must
     // reproduce its bracket bit-for-bit. Mycielski graphs keep the
     // clique/χ gap open, so no cancellation ever fires and every worker
-    // runs its full deterministic schedule.
+    // runs its full deterministic schedule. A level ends at its iteration
+    // cap or on stall (a run of iterations without a new best score);
+    // both stops count iterations, so each level gives up at the same
+    // point on every run.
     let g = mycielski(4);
     let b = bounds(&g);
     let opts = SolveOptions::new(20);
@@ -102,6 +105,28 @@ fn heuristic_incumbent_caps_the_bracket_below_dsatur_when_it_can() {
     assert_eq!(out.upper, 7, "TabuCol/PartialCol reach χ on this instance");
     assert!(out.witness.is_proper(&g));
     assert_eq!(out.witness.num_colors(), 7);
+
+    // The hard-tail brackets: clique < χ, so only the race can cap the
+    // ladder's start below DSATUR. queen6_6 (χ = 7, DSATUR 9) is the
+    // decisive cell of the benchmark's heuristics section.
+    let mut cases = vec![("queen6_6".to_string(), queens(6, 6), 7)];
+    for seed in [2, 9, 10] {
+        let g = gnp(36, 0.5, seed);
+        let chi = match backtracking_dsatur(&g, 50_000_000) {
+            BdsaturResult::Exact { chromatic_number, .. } => chromatic_number,
+            other => panic!("gnp(36, 0.5, {seed}): expected exact, got {other:?}"),
+        };
+        cases.push((format!("gnp(36, 0.5, {seed})"), g, chi));
+    }
+    for (name, g, chi) in cases {
+        let b = bounds(&g);
+        assert!(b.upper > chi, "{name}: test premise: DSATUR {} overshoots χ = {chi}", b.upper);
+        let out = race_heuristics(&g, &SolveOptions::new(20), &b);
+        assert!(out.lower < chi, "{name}: test premise: clique {} < χ = {chi}", out.lower);
+        assert_eq!(out.upper, chi, "{name}: the race must reach χ from DSATUR {}", b.upper);
+        assert!(out.witness.is_proper(&g), "{name}");
+        assert_eq!(out.witness.num_colors(), chi, "{name}");
+    }
 }
 
 proptest! {
