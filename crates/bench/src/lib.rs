@@ -34,9 +34,9 @@
 #![warn(missing_docs)]
 
 use sbgc_core::{
-    certify_result_parallel, chromatic_number_certified, solve_coloring, ChromaticResult,
-    ColoringOutcome, OptimalityCertificate, PreparedColoring, ProofStatus, Recorder, SbpMode,
-    SolveOptions, SolverKind, SupervisorConfig, SymmetryHandling,
+    certify_result, chromatic_number_certified, solve_coloring, ChromaticResult, ColoringOutcome,
+    OptimalityCertificate, PreparedColoring, ProofStatus, Recorder, SbpMode, SolveOptions,
+    SolverKind, SupervisorConfig, SymmetryHandling,
 };
 use sbgc_graph::suite::{self, Instance};
 use sbgc_obs::{
@@ -687,10 +687,9 @@ pub fn collect_run_report(inst: &Instance, config: &HarnessConfig) -> RunReport 
         if let ColoringOutcome::Optimal { coloring, colors } = &solved.outcome {
             let claim =
                 ChromaticResult::Exact { chromatic_number: *colors, witness: coloring.clone() };
-            report.certificate =
-                certify_result_parallel(&inst.graph, &claim, &config.budget(), config.jobs)
-                    .as_ref()
-                    .map(certificate_stats);
+            report.certificate = certify_result(&inst.graph, &claim, &config.budget(), config.jobs)
+                .as_ref()
+                .map(certificate_stats);
         }
     }
     report
@@ -785,7 +784,6 @@ pub fn write_report(config: &HarnessConfig, generator: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbgc_core::certify_result;
 
     #[test]
     fn quick_instances_exist_in_suite() {
@@ -1028,7 +1026,7 @@ mod tests {
             chromatic_number: 4,
             witness: Coloring::new(vec![0, 1, 2, 3, 0, 1]),
         };
-        let cert = certify_result(&g, &bogus, &Budget::unlimited()).expect("exact claim");
+        let cert = certify_result(&g, &bogus, &Budget::unlimited(), 1).expect("exact claim");
         let stats = certificate_stats(&cert);
         assert_eq!(stats.status, "rejected");
         assert!(!stats.detail.is_empty());

@@ -128,7 +128,11 @@ impl OptimalityCertificate {
     }
 }
 
-/// Attempts to produce a checked DRAT refutation of `formula`.
+/// Attempts to produce a checked DRAT refutation of `formula`. With
+/// `workers > 1` it races that many diversified CDCL solvers with
+/// learned-clause sharing, whose combined adds-only DRAT log stays
+/// checkable whichever worker wins; `workers ≤ 1` runs one sequential
+/// solver.
 ///
 /// Returns [`ProofStatus::Unchecked`] without solving when the formula
 /// carries PB constraints (the DRAT calculus speaks only CNF — this is the
@@ -137,24 +141,18 @@ impl OptimalityCertificate {
 pub fn certify_unsat_formula(
     formula: &PbFormula,
     budget: &Budget,
+    workers: usize,
 ) -> (ProofStatus, Option<DratProof>) {
-    certify_unsat_formula_parallel(formula, budget, 1)
+    refute_formula(formula, budget, workers, None)
 }
 
-/// [`certify_unsat_formula`] racing `workers` diversified CDCL solvers
-/// with learned-clause sharing; the first definitive answer cancels the
-/// rest.
-///
-/// All workers log clause additions into one shared DRAT log through
-/// adds-only loggers, so the combined log stays checkable whichever
-/// worker wins — deletions are suppressed because one worker's deletion
-/// could strip a clause a peer's later addition resolves on, and RUP
-/// checking is monotone in the clause database. `workers ≤ 1` is
-/// exactly the sequential [`certify_unsat_formula`].
-pub fn certify_unsat_formula_parallel(
+/// The pure-CNF guard in front of [`refute_and_check`], shared by both
+/// formula entry points.
+fn refute_formula(
     formula: &PbFormula,
     budget: &Budget,
     workers: usize,
+    archive: Option<Box<dyn ProofLogger>>,
 ) -> (ProofStatus, Option<DratProof>) {
     if !formula.is_pure_cnf() {
         let status = ProofStatus::Unchecked {
@@ -167,7 +165,7 @@ pub fn certify_unsat_formula_parallel(
     }
     let clauses: Vec<Vec<Lit>> =
         formula.clauses().iter().map(|c| c.iter().copied().collect()).collect();
-    refute_and_check(formula.num_vars(), &clauses, budget, workers)
+    refute_and_check(formula.num_vars(), &clauses, budget, workers, archive)
 }
 
 /// Owns the archive logger behind a shared slot so it can be reclaimed
@@ -189,9 +187,9 @@ impl<W: std::io::Write + Send> ProofLogger for StreamHandle<W> {
     }
 }
 
-/// [`certify_unsat_formula`] that *also* streams the DRAT proof into a
-/// file-backed logger while solving, so an archived copy exists outside
-/// the process.
+/// Sequential [`certify_unsat_formula`] that *also* streams the DRAT
+/// proof into a file-backed logger while solving, so an archived copy
+/// exists outside the process.
 ///
 /// The in-memory proof is still replayed through the independent checker;
 /// the stream is the archival artifact. If any write (or the final flush)
@@ -205,68 +203,15 @@ pub fn certify_unsat_formula_streamed<W: std::io::Write + Send + 'static>(
     budget: &Budget,
     archive: FileProofLogger<W>,
 ) -> (ProofStatus, Option<DratProof>) {
-    if !formula.is_pure_cnf() {
-        let status = ProofStatus::Unchecked {
-            reason: format!(
-                "formula has {} PB constraints; DRAT checking covers only pure CNF",
-                formula.pb_constraints().len()
-            ),
-        };
-        return (status, None);
-    }
-    let clauses: Vec<Vec<Lit>> =
-        formula.clauses().iter().map(|c| c.iter().copied().collect()).collect();
-    let num_vars = formula.num_vars();
-
     let flag = archive.error_flag();
     let slot = Arc::new(Mutex::new(Some(archive)));
-    let shared = SharedProof::new();
-    let mut solver = SatSolver::new(num_vars);
-    solver.set_proof_logger(Box::new(TeeProofLogger::new(
-        shared.clone(),
-        StreamHandle(slot.clone()),
-    )));
-    for c in &clauses {
-        solver.add_clause(c.iter().copied());
-    }
-    let solve_start = Instant::now();
-    let outcome = solver.solve_with_budget(budget);
-    let solve_seconds = solve_start.elapsed().as_secs_f64();
-    let proof = shared.take();
+    let (status, proof) =
+        refute_formula(formula, budget, 1, Some(Box::new(StreamHandle(slot.clone()))));
     // Reclaim and flush the archive; flush failures land in the error flag
     // like write failures.
     if let Some(logger) = slot.lock().unwrap_or_else(PoisonError::into_inner).take() {
         let _ = logger.into_inner();
     }
-
-    let (status, proof) = match outcome {
-        SolveOutcome::Unsat => {
-            let check_start = Instant::now();
-            let checked = check_drat(num_vars, &clauses, &proof);
-            let check_seconds = check_start.elapsed().as_secs_f64();
-            let status = match checked {
-                Ok(stats) => ProofStatus::Checked {
-                    steps: stats.steps,
-                    adds: stats.adds,
-                    deletes: stats.deletes,
-                    literals: proof.total_literals(),
-                    solve_seconds,
-                    check_seconds,
-                },
-                Err(e) => ProofStatus::Rejected { error: e.to_string() },
-            };
-            (status, Some(proof))
-        }
-        SolveOutcome::Sat(_) => {
-            (ProofStatus::Unchecked { reason: "formula is satisfiable".into() }, None)
-        }
-        SolveOutcome::Unknown => {
-            let status = ProofStatus::Unchecked {
-                reason: "budget exhausted before a refutation was found".into(),
-            };
-            (status, None)
-        }
-    };
     let status = match (flag.get(), status) {
         (Some(err), ProofStatus::Checked { .. }) => {
             ProofStatus::Unchecked { reason: format!("proof stream failed: {err}") }
@@ -319,17 +264,25 @@ fn diversify_certifier(solver: &mut SatSolver, index: usize) {
 /// importer re-logs what it attaches: every addition is RUP with respect
 /// to the log prefix it lands after, whichever interleaving the race
 /// produces, and the checker stops at the first derived empty clause.
+///
+/// `archive` (the streamed certifier's file-backed logger) receives a copy
+/// of every proof step; only the sequential solver streams.
 fn refute_and_check(
     num_vars: usize,
     clauses: &[Vec<Lit>],
     budget: &Budget,
     workers: usize,
+    archive: Option<Box<dyn ProofLogger>>,
 ) -> (ProofStatus, Option<DratProof>) {
+    debug_assert!(archive.is_none() || workers <= 1, "only the sequential solver streams");
     let shared = SharedProof::new();
     let solve_start = Instant::now();
     let outcome = if workers <= 1 {
         let mut solver = SatSolver::new(num_vars);
-        solver.set_proof_logger(Box::new(shared.clone()));
+        solver.set_proof_logger(match archive {
+            Some(archive) => Box::new(TeeProofLogger::new(shared.clone(), archive)),
+            None => Box::new(shared.clone()),
+        });
         for c in clauses {
             solver.add_clause(c.iter().copied());
         }
@@ -410,7 +363,9 @@ fn race_refutation(
     first.into_inner().unwrap_or_else(PoisonError::into_inner).unwrap_or(SolveOutcome::Unknown)
 }
 
-/// Certifies an exact chromatic-number result.
+/// Certifies an exact chromatic-number result, racing the refutation
+/// across `workers` clause-sharing CDCL solvers (see
+/// [`certify_unsat_formula`]; `workers ≤ 1` is sequential).
 ///
 /// Returns `None` when `result` is only a bound (there is no optimum to
 /// certify). For an exact result this verifies the witness syntactically
@@ -422,17 +377,6 @@ fn race_refutation(
 /// certifying solver *satisfied* the χ−1 formula) means the claimed optimum
 /// is unsupported and should be treated as a bug.
 pub fn certify_result(
-    graph: &Graph,
-    result: &ChromaticResult,
-    budget: &Budget,
-) -> Option<OptimalityCertificate> {
-    certify_result_parallel(graph, result, budget, 1)
-}
-
-/// [`certify_result`] with the refutation raced across `workers`
-/// clause-sharing CDCL solvers (see [`certify_unsat_formula_parallel`]).
-/// `workers ≤ 1` is exactly the sequential [`certify_result`].
-pub fn certify_result_parallel(
     graph: &Graph,
     result: &ChromaticResult,
     budget: &Budget,
@@ -450,7 +394,7 @@ pub fn certify_result_parallel(
         (status, None)
     } else {
         let (num_vars, clauses) = cnf_decision_formula(graph, chi - 1);
-        match refute_and_check(num_vars, &clauses, budget, workers) {
+        match refute_and_check(num_vars, &clauses, budget, workers, None) {
             (ProofStatus::Unchecked { reason }, p) if reason == "formula is satisfiable" => {
                 let error =
                     format!("graph is ({})-colorable — claimed χ = {chi} is not optimal", chi - 1);
@@ -486,7 +430,7 @@ pub fn chromatic_number_certified(
 ) -> (ChromaticResult, Option<OptimalityCertificate>) {
     let result = chromatic_number(graph, options);
     let workers = options.solver.portfolio_workers(options.parallelism).unwrap_or(1);
-    let certificate = certify_result_parallel(graph, &result, &options.budget, workers);
+    let certificate = certify_result(graph, &result, &options.budget, workers);
     (result, certificate)
 }
 
@@ -577,7 +521,7 @@ mod tests {
             chromatic_number: 4,
             witness: Coloring::new(vec![0, 1, 2, 3, 0, 1]),
         };
-        let cert = certify_result(&g, &bogus, &Budget::unlimited()).expect("exact claim");
+        let cert = certify_result(&g, &bogus, &Budget::unlimited(), 1).expect("exact claim");
         assert!(matches!(cert.unsat, ProofStatus::Rejected { .. }), "{}", cert.unsat);
         assert!(!cert.is_certified());
     }
@@ -588,7 +532,7 @@ mod tests {
         // so its refutations cannot be DRAT-checked; the honest answer is
         // Unchecked with a reason, not a fake pass.
         let enc = crate::ColoringEncoding::new(&Graph::complete(4), 2);
-        let (status, proof) = certify_unsat_formula(enc.formula(), &Budget::unlimited());
+        let (status, proof) = certify_unsat_formula(enc.formula(), &Budget::unlimited(), 1);
         match status {
             ProofStatus::Unchecked { reason } => assert!(reason.contains("PB")),
             other => panic!("expected Unchecked, got {other}"),
@@ -603,7 +547,7 @@ mod tests {
         for c in &clauses {
             f.add_clause(c.iter().copied());
         }
-        let (status, proof) = certify_unsat_formula(&f, &Budget::unlimited());
+        let (status, proof) = certify_unsat_formula(&f, &Budget::unlimited(), 1);
         assert!(matches!(status, ProofStatus::Checked { .. }), "{status}");
         assert!(proof.is_some());
     }
@@ -684,7 +628,7 @@ mod tests {
         // adds-only DRAT log; the interleaved proof must still replay
         // through the independent checker, whichever worker won.
         let f = unsat_cnf(&queens(5, 5), 4);
-        let (status, proof) = certify_unsat_formula_parallel(&f, &Budget::unlimited(), 4);
+        let (status, proof) = certify_unsat_formula(&f, &Budget::unlimited(), 4);
         match status {
             ProofStatus::Checked { adds, .. } => {
                 assert!(adds > 0, "a nontrivial refutation must contain lemmas");
@@ -699,7 +643,7 @@ mod tests {
     fn racing_certificate_agrees_with_sequential() {
         let f = unsat_cnf(&mycielski(3), 3);
         for workers in [1, 2, 3] {
-            let (status, _) = certify_unsat_formula_parallel(&f, &Budget::unlimited(), workers);
+            let (status, _) = certify_unsat_formula(&f, &Budget::unlimited(), workers);
             assert!(matches!(status, ProofStatus::Checked { .. }), "workers={workers}: {status}");
         }
     }
@@ -709,7 +653,7 @@ mod tests {
         // A satisfiable formula must come back "satisfiable", not a bogus
         // refutation, no matter how many workers race it.
         let f = unsat_cnf(&Graph::cycle(6), 3); // even cycle IS 3-colorable
-        let (status, proof) = certify_unsat_formula_parallel(&f, &Budget::unlimited(), 3);
+        let (status, proof) = certify_unsat_formula(&f, &Budget::unlimited(), 3);
         match status {
             ProofStatus::Unchecked { reason } => assert!(reason.contains("satisfiable")),
             other => panic!("expected Unchecked, got {other}"),
@@ -736,7 +680,7 @@ mod tests {
         for c in &clauses {
             f.add_clause(c.iter().copied());
         }
-        let (status, _) = certify_unsat_formula(&f, &Budget::unlimited().with_max_conflicts(0));
+        let (status, _) = certify_unsat_formula(&f, &Budget::unlimited().with_max_conflicts(0), 1);
         match status {
             ProofStatus::Unchecked { reason } => assert!(reason.contains("budget")),
             other => panic!("expected Unchecked, got {other}"),

@@ -6,13 +6,17 @@
 //! then walk the upper bound down with assumption queries against
 //! long-lived solver state ([`crate::session::ColoringSession`]). Learned
 //! clauses survive from one ladder step to the next instead of being
-//! re-derived per K. The one-shot optimization run remains for the CPLEX
-//! baseline and for instance-dependent (Shatter) SBPs, which the session
-//! cannot drive soundly (see `DESIGN.md` §4g).
+//! re-derived per K. The rung loop itself lives in [`crate::supervisor`]:
+//! [`chromatic_number_outcome`] runs it as one attempt with no
+//! checkpoint, resume or watchdog, and [`crate::solve_supervised`] runs
+//! the same loop with them switched on. The one-shot optimization run
+//! remains for the CPLEX baseline and for instance-dependent (Shatter)
+//! SBPs, which the session cannot drive soundly (see `DESIGN.md` §4g).
 
 use crate::error::SolveError;
 use crate::flow::{try_solve_coloring, ColoringOutcome, SolveOptions};
-use crate::session::{ColoringSession, SessionAnswer};
+use crate::session::ColoringSession;
+use crate::supervisor::{run_ladder, SolveState};
 use sbgc_graph::{algo, Coloring, Graph};
 use sbgc_pb::ExhaustReason;
 
@@ -33,6 +37,16 @@ pub fn bounds(graph: &Graph) -> ChromaticBounds {
     let witness = algo::dsatur(graph);
     let lower = algo::greedy_clique(graph).len().max(usize::from(graph.num_vertices() > 0));
     ChromaticBounds { lower, upper: witness.num_colors(), witness }
+}
+
+/// The input checks every chromatic entry point shares: χ is undefined
+/// on the empty graph, and the encoding needs at least one color.
+pub(crate) fn check_inputs(graph: &Graph, options: &SolveOptions) -> Result<(), SolveError> {
+    match (graph.num_vertices(), options.k) {
+        (0, _) => Err(SolveError::EmptyGraph),
+        (_, 0) => Err(SolveError::ZeroColorBound),
+        _ => Ok(()),
+    }
 }
 
 /// The bracket the exact search actually starts from: the one-shot greedy
@@ -189,12 +203,7 @@ pub fn chromatic_number_outcome(
     graph: &Graph,
     options: &SolveOptions,
 ) -> Result<ChromaticOutcome, SolveError> {
-    if graph.num_vertices() == 0 {
-        return Err(SolveError::EmptyGraph);
-    }
-    if options.k == 0 {
-        return Err(SolveError::ZeroColorBound);
-    }
+    check_inputs(graph, options)?;
     let b = initial_bounds(graph, options)?;
     if b.lower >= b.upper {
         // The bracket is already collapsed (DSATUR met the clique bound,
@@ -206,7 +215,8 @@ pub fn chromatic_number_outcome(
         });
     }
     if ColoringSession::supports(options) {
-        return chromatic_ladder(graph, options, b);
+        let ladder = run_ladder(graph, options.clone(), SolveState::from(b), None, None)?;
+        return Ok(ladder.outcome);
     }
     chromatic_number_via_optimization(graph, options, b)
 }
@@ -299,102 +309,6 @@ fn collapse_feasible(
             detail: "feasible witness failed re-validation at bracket collapse".to_string(),
         })
     }
-}
-
-/// The incremental ladder: one [`ColoringSession`] answers every
-/// decision query `[lower, upper)` needs, against persistent solver
-/// state. Records one [`sbgc_obs::LadderStepTelemetry`] entry per query
-/// when the options carry an enabled recorder.
-///
-/// Callers guarantee `graph` is nonempty, `options.k >= 1`,
-/// `b.lower < b.upper`, and [`ColoringSession::supports`]`(options)`.
-fn chromatic_ladder(
-    graph: &Graph,
-    options: &SolveOptions,
-    b: ChromaticBounds,
-) -> Result<ChromaticOutcome, SolveError> {
-    use sbgc_obs::LadderStepTelemetry;
-    use std::time::Instant;
-
-    let mut session = ColoringSession::new(graph, options)?;
-    let k = session.k();
-    // The session encoded at the one-shot DSATUR width. When the
-    // heuristic race already capped the bracket below it, retire the gap
-    // as root-level units before the first query — these are the ladder
-    // rungs the race let us skip. `b.upper` is witnessed by a coloring
-    // that `initial_bounds` re-validated, so the commit is sound.
-    session.commit_upper_bound(b.upper);
-    // One wall-clock for the whole ladder: arming the deadline here (it
-    // arms once) makes every step share it. Conflict caps need no special
-    // handling — persistent engines count cumulatively, so a cap bounds
-    // the session's *total* work.
-    let budget = options.budget.started();
-    let recorder = &options.recorder;
-    let mut lower = b.lower;
-    let mut upper = b.upper;
-    let mut witness = b.witness;
-    let mut step: u64 = 0;
-    while lower < upper {
-        let target = (upper - 1).min(k);
-        let started = Instant::now();
-        let s = session.query(target, &budget);
-        recorder.record_ladder_step(LadderStepTelemetry {
-            step,
-            target,
-            outcome: match &s.answer {
-                SessionAnswer::Colorable(_) => "sat",
-                SessionAnswer::NotColorable { .. } => "unsat",
-                SessionAnswer::Unknown => "unknown",
-            }
-            .to_string(),
-            seconds: started.elapsed().as_secs_f64(),
-            retained_clauses: s.retained_clauses,
-            workers: s.workers,
-        });
-        step += 1;
-        match s.answer {
-            SessionAnswer::Colorable(c) => {
-                let colors = c.num_colors().min(target);
-                if colors < lower {
-                    // A verified witness below a proven lower bound is an
-                    // invariant violation, not progress (§4i).
-                    return Err(SolveError::BoundContradiction {
-                        lower,
-                        upper: colors,
-                        detail: format!("ladder witness at target {target} beat the lower bound"),
-                    });
-                }
-                upper = colors;
-                witness = c;
-                // The bound is monotone; retire the colors above it as
-                // permanent units so later queries run on a formula as
-                // tight as a fresh encoding at their own width.
-                session.commit_upper_bound(upper);
-            }
-            SessionAnswer::NotColorable { .. } => {
-                lower = (target + 1).max(lower);
-                if target == k && lower < upper {
-                    // The encoding cannot express more than k colors; the
-                    // remaining gap to the DSATUR witness is a final
-                    // K-cap bracket, not budget exhaustion.
-                    return Ok(ChromaticOutcome {
-                        result: ChromaticResult::Bounded { lower, upper, witness },
-                        exhaust: None,
-                    });
-                }
-            }
-            SessionAnswer::Unknown => {
-                return Ok(ChromaticOutcome {
-                    result: ChromaticResult::Bounded { lower, upper, witness },
-                    exhaust: s.exhaust,
-                });
-            }
-        }
-    }
-    Ok(ChromaticOutcome {
-        result: ChromaticResult::Exact { chromatic_number: upper, witness },
-        exhaust: None,
-    })
 }
 
 /// How [`chromatic_number_by_decision`] walks the K range — the two

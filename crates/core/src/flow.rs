@@ -15,7 +15,7 @@ use crate::error::SolveError;
 use crate::sbp::{add_instance_independent_sbps, SbpMode, SbpSizeStats};
 use sbgc_formula::FormulaStats;
 use sbgc_graph::{Coloring, Graph};
-use sbgc_obs::{Phase, Recorder};
+use sbgc_obs::{FaultPlan, Phase, Recorder};
 use sbgc_pb::{
     optimize_recorded_with_stats, Budget, ExhaustReason, OptOutcome, Optimizer, SolverKind,
 };
@@ -70,6 +70,11 @@ pub struct SolveOptions {
     /// re-validated at the trust boundary, so this flag trades wall-clock,
     /// not soundness (see `DESIGN.md` §4i).
     pub heuristics: bool,
+    /// Deterministic fault injection for chaos tests (`None` in
+    /// production): the chromatic ladder hands the plan to the heuristic
+    /// race, the session workers, the mid-rung kill and checkpoint writes,
+    /// for the first attempt only. The one-shot flows here ignore it.
+    pub fault: Option<FaultPlan>,
 }
 
 impl SolveOptions {
@@ -86,6 +91,7 @@ impl SolveOptions {
             parallelism: 1,
             recorder: Recorder::disabled(),
             heuristics: true,
+            fault: None,
         }
     }
 
@@ -137,6 +143,12 @@ impl SolveOptions {
     /// before the hybrid. Shorthand for `with_heuristics(false)`.
     pub fn without_heuristics(self) -> Self {
         self.with_heuristics(false)
+    }
+
+    /// Injects the faults `plan` schedules (see [`SolveOptions::fault`]).
+    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
+        self.fault = Some(plan);
+        self
     }
 }
 

@@ -54,7 +54,7 @@ use crate::chromatic::ChromaticBounds;
 use crate::flow::SolveOptions;
 use sbgc_graph::{Coloring, Graph};
 use sbgc_heur::{clique_search, derive_seed, partialcol, tabucol_from, SplitMix64};
-use sbgc_obs::{FaultPlan, HeuristicsTelemetry, SearchCounters, WorkerTelemetry};
+use sbgc_obs::{HeuristicsTelemetry, SearchCounters, WorkerTelemetry};
 use sbgc_sat::CancelToken;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -96,7 +96,7 @@ pub struct HeuristicOutcome {
     pub failed_workers: usize,
     /// Offers rejected at the trust boundary (improper colorings,
     /// non-cliques). Always `0` unless a worker is buggy or a
-    /// [`FaultPlan`] injected a corruption.
+    /// [`sbgc_obs::FaultPlan`] injected a corruption.
     pub rejected_witnesses: u64,
 }
 
@@ -131,8 +131,8 @@ fn panic_summary(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Corrupts a coloring the way a buggy heuristic would: merge the two
 /// endpoints of the first edge into one class, producing a monochromatic
-/// edge. Used only under [`FaultPlan::improper_witness`] to prove the
-/// trust boundary rejects it. Edge-free graphs are returned unchanged
+/// edge. Used only under [`sbgc_obs::FaultPlan::improper_witness`] to
+/// prove the trust boundary rejects it. Edge-free graphs are returned unchanged
 /// (there is no way to make their colorings improper).
 fn corrupt_coloring(graph: &Graph, coloring: Coloring) -> Coloring {
     let mut colors = coloring.colors().to_vec();
@@ -178,26 +178,17 @@ fn collapse_to_k(colors: &[usize], k: usize, rng: &mut SplitMix64) -> Vec<usize>
 
 /// Races the heuristic workers against each other to tighten `seed`
 /// (the one-shot greedy bracket from [`crate::chromatic::bounds`]).
-/// Equivalent to [`race_heuristics_instrumented`] without fault
-/// injection.
+///
+/// A [`SolveOptions::fault`] plan lets the chaos suite prove that
+/// panicking workers and improper witnesses are contained (see
+/// `docs/ROBUSTNESS.md`). Worker indices for the plan: `0` = TabuCol,
+/// `1` = PartialCol, `2` = clique search.
 pub fn race_heuristics(
     graph: &Graph,
     options: &SolveOptions,
     seed: &ChromaticBounds,
 ) -> HeuristicOutcome {
-    race_heuristics_instrumented(graph, options, seed, None)
-}
-
-/// [`race_heuristics`] with a deterministic [`FaultPlan`], used by the
-/// chaos suite to prove that panicking workers and improper witnesses
-/// are contained (see `docs/ROBUSTNESS.md`). Worker indices for the
-/// plan: `0` = TabuCol, `1` = PartialCol, `2` = clique search.
-pub fn race_heuristics_instrumented(
-    graph: &Graph,
-    options: &SolveOptions,
-    seed: &ChromaticBounds,
-    fault: Option<&FaultPlan>,
-) -> HeuristicOutcome {
+    let fault = options.fault.as_ref();
     let start = Instant::now();
     let token = CancelToken::new();
     let shared = Mutex::new(SharedBracket {
@@ -277,6 +268,14 @@ pub fn race_heuristics_instrumented(
             }
         };
 
+    // A worker the fault plan schedules to panic does so as it starts an
+    // attempt (the whole race is the plan's query 0).
+    let inject_panic = |index: usize| {
+        if fault.and_then(|plan| plan.worker_panic(index)) == Some(0) {
+            panic!("fault injection: heuristic worker {index} panics");
+        }
+    };
+
     let iters = iters_per_level(graph);
     let mut telemetry: Vec<WorkerTelemetry> = Vec::new();
     let mut failed_workers = 0usize;
@@ -288,6 +287,7 @@ pub fn race_heuristics_instrumented(
             let shared = &shared;
             let offer_clique = &offer_clique;
             let descend = &descend;
+            let inject_panic = &inject_panic;
             let witness = seed.witness.clone();
             let worker_seed = derive_seed(SEED_BASE, index as u64);
             let handle = scope.spawn(move || {
@@ -297,11 +297,7 @@ pub fn race_heuristics_instrumented(
                         let mut rng = SplitMix64::new(worker_seed);
                         let mut current = witness.colors().to_vec();
                         descend(index, &mut |target| {
-                            if let Some(plan) = fault {
-                                if plan.worker_panic(index) == Some(0) {
-                                    panic!("fault injection: heuristic worker {index} panics");
-                                }
-                            }
+                            inject_panic(index);
                             let start = collapse_to_k(&current, target, &mut rng);
                             let found =
                                 tabucol_from(graph, target, start, &mut rng, iters, || {
@@ -314,22 +310,14 @@ pub fn race_heuristics_instrumented(
                     1 => {
                         let mut stream = 0u64;
                         descend(index, &mut |target| {
-                            if let Some(plan) = fault {
-                                if plan.worker_panic(index) == Some(0) {
-                                    panic!("fault injection: heuristic worker {index} panics");
-                                }
-                            }
+                            inject_panic(index);
                             let level_seed = derive_seed(worker_seed, stream);
                             stream += 1;
                             partialcol(graph, target, level_seed, iters, || token.is_cancelled())
                         })
                     }
                     _ => {
-                        if let Some(plan) = fault {
-                            if plan.worker_panic(index) == Some(0) {
-                                panic!("fault injection: heuristic worker {index} panics");
-                            }
-                        }
+                        inject_panic(index);
                         let clique =
                             clique_search(graph, worker_seed, clique_restarts(graph), || {
                                 token.is_cancelled()
@@ -411,6 +399,7 @@ mod tests {
     use super::*;
     use crate::chromatic::bounds;
     use sbgc_graph::gen;
+    use sbgc_obs::FaultPlan;
 
     fn options() -> SolveOptions {
         SolveOptions::new(8)
@@ -478,7 +467,7 @@ mod tests {
         let b = ChromaticBounds { lower: 2, upper: 5, witness: Coloring::new((0..5).collect()) };
         assert!(b.witness.is_proper(&g));
         let plan = FaultPlan::new(7).with_improper_witness(0);
-        let out = race_heuristics_instrumented(&g, &options(), &b, Some(&plan));
+        let out = race_heuristics(&g, &options().with_fault_plan(plan), &b);
         assert!(out.rejected_witnesses >= 1, "the corrupted offer must be rejected");
         assert!(out.failed_workers >= 1, "an untrustworthy worker is retired");
         // The bracket stays sound: the surviving workers' bounds hold.
@@ -492,7 +481,7 @@ mod tests {
         let g = gen::mycielski(3);
         let b = bounds(&g);
         let plan = FaultPlan::new(3).with_worker_panic(2, 0);
-        let out = race_heuristics_instrumented(&g, &options(), &b, Some(&plan));
+        let out = race_heuristics(&g, &options().with_fault_plan(plan), &b);
         assert_eq!(out.failed_workers, 1);
         assert!(out.witness.is_proper(&g), "coloring workers keep racing");
         assert!(out.upper <= b.upper);

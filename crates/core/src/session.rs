@@ -42,15 +42,24 @@
 //! arbitrary detected symmetries, not the color-index order — which is
 //! why `supports` excludes them.
 
-use crate::chromatic::bounds;
+use crate::chromatic::{bounds, check_inputs, ChromaticBounds};
 use crate::encode::ColoringEncoding;
 use crate::error::SolveError;
 use crate::flow::{SolveOptions, SymmetryHandling};
 use crate::sbp::add_instance_independent_sbps;
 use sbgc_formula::Lit;
 use sbgc_graph::{Coloring, Graph};
-use sbgc_obs::{FaultPlan, Phase, Recorder};
+use sbgc_obs::{Phase, Recorder};
 use sbgc_pb::{Budget, DecisionBackend, ExhaustReason, SolveOutcome, SolverKind};
+
+/// The width `K` a session encodes at: the largest target the ladder can
+/// query, one below the greedy DSATUR bound `b` (already witnessed),
+/// clamped by the cap `options.k`. Variable `x[v,c]` is numbered
+/// `v·K + c`, so a resumed checkpoint's learned clauses are re-imported
+/// exactly when its stored ceiling equals this width.
+pub(crate) fn encoding_width(b: &ChromaticBounds, options: &SolveOptions) -> usize {
+    b.upper.saturating_sub(1).max(1).min(options.k)
+}
 
 /// What one ladder query established.
 #[derive(Clone, Debug)]
@@ -95,7 +104,7 @@ pub struct SessionStep {
 /// Construct with [`ColoringSession::new`] (checking
 /// [`ColoringSession::supports`] first), then call
 /// [`query`](ColoringSession::query) with decreasing targets. The
-/// `sbgc-core::chromatic` ladder (`chromatic_number_outcome` and friends)
+/// chromatic ladder (`chromatic_number_outcome` and `solve_supervised`)
 /// drives this automatically for every supported configuration.
 pub struct ColoringSession<'g> {
     backend: DecisionBackend,
@@ -142,7 +151,8 @@ impl<'g> ColoringSession<'g> {
     /// is already witnessed), adds
     /// the configured instance-independent SBPs, and builds the
     /// long-lived solver backend (a persistent portfolio when the options
-    /// imply one, a single persistent engine otherwise).
+    /// imply one, a single persistent engine otherwise) with the worker
+    /// faults of [`SolveOptions::fault`].
     ///
     /// # Errors
     ///
@@ -150,43 +160,24 @@ impl<'g> ColoringSession<'g> {
     /// degenerate inputs, [`SolveError::UnsupportedIncremental`] when
     /// [`ColoringSession::supports`] is false for `options`.
     pub fn new(graph: &'g Graph, options: &SolveOptions) -> Result<Self, SolveError> {
-        Self::new_with(graph, options, 0, None)
+        Self::with_seed_offset(graph, options, 0)
     }
 
-    /// [`ColoringSession::new`] plus a worker **seed offset** and
-    /// deterministic fault injection — the supervisor's rebuild interface.
-    ///
-    /// A retry after a watchdog trip rebuilds the session with a non-zero
-    /// `seed_offset`, shifting every backend engine's diversification seed
-    /// so the restarted search explores differently from the stalled one
-    /// ("cancel, reseed, restart"). `fault` flows to the portfolio workers
-    /// for chaos tests; production callers pass `None`.
-    ///
-    /// # Errors
-    ///
-    /// As [`ColoringSession::new`].
-    pub fn new_with(
+    /// [`ColoringSession::new`] with every backend engine's
+    /// diversification seed shifted by `seed_offset`: a supervisor retry
+    /// rebuilds the session this way so the restarted search explores
+    /// differently from the stalled one ("cancel, reseed, restart").
+    pub(crate) fn with_seed_offset(
         graph: &'g Graph,
         options: &SolveOptions,
         seed_offset: u64,
-        fault: Option<&FaultPlan>,
     ) -> Result<Self, SolveError> {
-        if graph.num_vertices() == 0 {
-            return Err(SolveError::EmptyGraph);
-        }
-        if options.k == 0 {
-            return Err(SolveError::ZeroColorBound);
-        }
+        check_inputs(graph, options)?;
         if !Self::supports(options) {
             return Err(SolveError::UnsupportedIncremental);
         }
         let recorder = options.recorder.clone();
-        // Encode at the largest target the ladder can ever query: one
-        // below the DSATUR bound (the bound itself is already witnessed,
-        // so no query ever asks for it), clamped by the caller's cap. An
-        // extra color layer would cost variables, conflict clauses and
-        // SBP rows on every single query.
-        let k = bounds(graph).upper.saturating_sub(1).max(1).min(options.k);
+        let k = encoding_width(&bounds(graph), options);
         let mut encoding = {
             let _span = recorder.span(Phase::Encode);
             ColoringEncoding::new(graph, k)
@@ -204,7 +195,7 @@ impl<'g> ColoringSession<'g> {
             options.parallelism,
             &recorder,
             seed_offset,
-            fault,
+            options.fault.as_ref(),
         );
         Ok(ColoringSession { backend, encoding, graph, recorder, k, ceiling: k })
     }

@@ -1,8 +1,11 @@
-//! The resumable solve supervisor: checkpoints, watchdog, retries.
+//! The chromatic ladder driver and its supervision: checkpoints,
+//! watchdog, retries.
 //!
-//! [`solve_supervised`] wraps the incremental chromatic ladder
-//! (`crate::chromatic`) in a fault-tolerant control loop with three
-//! independent layers:
+//! `run_ladder` is the one rung loop that walks the color budget down
+//! through [`ColoringSession`] queries. `chromatic_number_outcome` runs it
+//! as a single attempt with no checkpoint, resume or watchdog;
+//! [`solve_supervised`] is the same loop with three independent layers
+//! switched on:
 //!
 //! 1. **Auto-checkpointing.** With a configured checkpoint path, a
 //!    [`SolveCheckpoint`] — bracket, incumbent witness, worker seeds, and
@@ -32,11 +35,13 @@
 //! for the operational story and the chaos tests that pin it down.
 
 use crate::checkpoint::{CheckpointError, GraphFingerprint, SolveCheckpoint};
-use crate::chromatic::{bounds, initial_bounds, ChromaticOutcome, ChromaticResult};
+use crate::chromatic::{
+    bounds, check_inputs, initial_bounds, ChromaticBounds, ChromaticOutcome, ChromaticResult,
+};
 use crate::error::SolveError;
 use crate::flow::SolveOptions;
 use crate::sbp::SbpMode;
-use crate::session::{ColoringSession, SessionAnswer};
+use crate::session::{encoding_width, ColoringSession, SessionAnswer};
 use sbgc_formula::Lit;
 use sbgc_graph::{Coloring, Graph};
 use sbgc_obs::{
@@ -184,10 +189,11 @@ pub struct SupervisedOutcome {
     pub resumed: bool,
 }
 
-/// Runs the incremental chromatic ladder under the supervisor loop (see
-/// the module docs). Equivalent to `chromatic_number_outcome` when
-/// `config` is all-default, plus crash safety and stall recovery when it
-/// is not.
+/// Runs the chromatic ladder with supervision on (see the module docs):
+/// the same driver as `chromatic_number_outcome`, plus crash safety and
+/// stall recovery as `config` asks. With an all-default `config` it
+/// reaches the same answer as the plain ladder and only adds the
+/// `supervisor` telemetry.
 ///
 /// # Errors
 ///
@@ -201,32 +207,8 @@ pub fn solve_supervised(
     options: &SolveOptions,
     config: &SupervisorConfig,
 ) -> Result<SupervisedOutcome, SolveError> {
-    solve_supervised_instrumented(graph, options, config, None)
-}
-
-/// [`solve_supervised`] plus deterministic fault injection for the chaos
-/// suite: mid-rung kills (a panic at a scheduled rung start, after the
-/// previous rung's checkpoint is on disk), stalled session workers (the
-/// watchdog's prey), checkpoint bit-flips and artifact write failures.
-/// Production callers pass `None`; injected faults apply to the first
-/// attempt only, so retries genuinely recover.
-///
-/// # Errors
-///
-/// As [`solve_supervised`].
-pub fn solve_supervised_instrumented(
-    graph: &Graph,
-    options: &SolveOptions,
-    config: &SupervisorConfig,
-    fault: Option<&FaultPlan>,
-) -> Result<SupervisedOutcome, SolveError> {
     config.validate()?;
-    if graph.num_vertices() == 0 {
-        return Err(SolveError::EmptyGraph);
-    }
-    if options.k == 0 {
-        return Err(SolveError::ZeroColorBound);
-    }
+    check_inputs(graph, options)?;
     if !ColoringSession::supports(options) {
         return Err(SolveError::UnsupportedIncremental);
     }
@@ -237,37 +219,55 @@ pub fn solve_supervised_instrumented(
     if !options.recorder.is_enabled() && config.watchdog.is_some() {
         options.recorder = Recorder::new();
     }
-    let recorder = options.recorder.clone();
-
     // Establish the starting state: a validated checkpoint, or the usual
     // heuristic-tightened greedy bracket.
-    let (mut state, mut pending_resume) = match &config.resume_from {
+    let (state, resume) = match &config.resume_from {
         Some(path) => {
             let (state, telemetry) = restore(graph, &options, path)?;
             (state, Some(telemetry))
         }
-        None => {
-            let b = initial_bounds(graph, &options)?;
-            (
-                SolveState {
-                    lower: b.lower,
-                    upper: b.upper,
-                    witness: b.witness,
-                    clauses: Vec::new(),
-                },
-                None,
-            )
-        }
+        None => (SolveState::from(initial_bounds(graph, &options)?), None),
     };
-    let resumed = pending_resume.is_some();
+    run_ladder(graph, options, state, Some(config), resume)
+}
 
-    let mut supervision = Supervision {
+/// The plain ladder's configuration: one attempt, no checkpoint, no
+/// resume, no watchdog.
+static SINGLE_ATTEMPT: SupervisorConfig = SupervisorConfig {
+    checkpoint_path: None,
+    resume_from: None,
+    watchdog: None,
+    max_retries: 0,
+    escalation: 1,
+};
+
+/// The chromatic ladder: one [`ColoringSession`] per attempt answers
+/// every decision query `[lower, upper)` needs, recording one
+/// [`LadderStepTelemetry`] entry per query. `supervisor: None` is the
+/// plain single attempt of `chromatic_number_outcome`, which records no
+/// `supervisor` telemetry; `resume` is a restored checkpoint's telemetry,
+/// recorded once the first session has re-imported its clauses.
+///
+/// Callers guarantee `graph` is nonempty, `options.k >= 1`, and
+/// [`ColoringSession::supports`]`(&options)`.
+pub(crate) fn run_ladder(
+    graph: &Graph,
+    mut options: SolveOptions,
+    mut state: SolveState,
+    supervisor: Option<&SupervisorConfig>,
+    mut resume: Option<ResumeTelemetry>,
+) -> Result<SupervisedOutcome, SolveError> {
+    let config = supervisor.unwrap_or(&SINGLE_ATTEMPT);
+    let recorder = options.recorder.clone();
+    let mut run = Supervision {
         attempts: 0,
         watchdog_trips: 0,
         checkpoints_written: 0,
         final_escalation: 1,
         config,
         recorder: recorder.clone(),
+        resumed: resume.is_some(),
+        report: supervisor.is_some(),
     };
 
     if state.lower >= state.upper {
@@ -275,73 +275,70 @@ pub fn solve_supervised_instrumented(
         // checkpoint was final): provably optimal without any search. A
         // checkpoint is still written so a `--checkpoint` run always
         // leaves a resumable artifact behind.
-        supervision.attempts = 1;
-        supervision.write_checkpoint(graph, &options, &state, None, fault)?;
-        let outcome = ChromaticOutcome {
-            result: ChromaticResult::Exact {
-                chromatic_number: state.upper,
-                witness: state.witness,
-            },
-            exhaust: None,
-        };
-        return Ok(supervision.finish(outcome, resumed));
+        if let Some(telemetry) = resume {
+            recorder.record_resume(telemetry);
+        }
+        run.attempts = 1;
+        run.write_checkpoint(graph, &options, &state, None)?;
+        return Ok(run.finish(state.into_outcome(None)));
     }
+    run.write_checkpoint(graph, &options, &state, None)?;
 
-    supervision.write_checkpoint(graph, &options, &state, None, fault)?;
-
+    // `step` numbers every query across all attempts (the telemetry id);
+    // `rungs_done` counts decided rungs (the mid-rung kill's schedule).
+    let mut step: u64 = 0;
     let mut rungs_done: u64 = 0;
     loop {
-        supervision.attempts += 1;
-        let attempt = supervision.attempts;
+        run.attempts += 1;
+        let attempt = run.attempts;
         // Caps multiply per retry: factor = escalation^(attempt-1), capped.
         let factor = config
             .escalation
             .saturating_pow((attempt - 1).min(u64::from(u32::MAX)) as u32)
             .min(MAX_ESCALATION);
-        supervision.final_escalation = u64::from(factor);
+        run.final_escalation = u64::from(factor);
         // The first attempt runs the caller's budget verbatim (cancel
         // tokens included); retries re-arm with escalated caps and fresh
         // cancellation (a tripped watchdog token must not kill them).
-        let base_budget = if factor == 1 && attempt == 1 {
-            options.budget.clone()
-        } else {
-            options.budget.escalated(factor)
-        };
+        let base_budget =
+            if attempt == 1 { options.budget.clone() } else { options.budget.escalated(factor) };
 
         // Reseed: shift every engine seed per attempt (and once more for
         // a resume, diversifying away from the dead run's seeds).
-        let seed_offset = SEED_STRIDE.wrapping_mul(attempt - 1 + u64::from(resumed));
-        // Injected faults hit the first attempt only: retries must
-        // demonstrate genuine recovery.
-        let session_fault = if attempt == 1 { fault } else { None };
-        let mut session = ColoringSession::new_with(graph, &options, seed_offset, session_fault)?;
-        // Order matters: committing the restored/learned upper bound
-        // first makes every carried clause entailed by the strengthened
-        // formula, so the import below is sound.
+        let seed_offset = SEED_STRIDE.wrapping_mul(attempt - 1 + u64::from(run.resumed));
+        let mut session = ColoringSession::with_seed_offset(graph, &options, seed_offset)?;
+        // Committing the carried (re-validated, witnessed) upper bound
+        // retires the rungs the heuristic race, an earlier attempt or the
+        // checkpoint already skipped, and makes every carried clause
+        // entailed by the strengthened formula, so the import is sound.
         session.commit_upper_bound(state.upper);
         let imported =
             if state.clauses.is_empty() { 0 } else { session.import_learned(&state.clauses) };
-        if let Some(telemetry) = pending_resume.take() {
+        if let Some(telemetry) = resume.take() {
             recorder
                 .record_resume(ResumeTelemetry { clauses_imported: imported as u64, ..telemetry });
         }
 
+        // One wall-clock for the whole attempt: arming the deadline here
+        // (it arms once) makes every query share it. Conflict caps need
+        // no special handling — persistent engines count cumulatively, so
+        // a cap bounds the session's *total* work.
         let watchdog = Watchdog::arm(config.watchdog, &recorder);
         let budget = match &watchdog {
             Some(w) => base_budget.with_cancel_token(w.token.clone()).started(),
             None => base_budget.started(),
         };
 
-        let mut attempt_exhaust: Option<ExhaustReason> = None;
+        let mut exhaust: Option<ExhaustReason> = None;
         while state.lower < state.upper {
-            if fault.and_then(FaultPlan::mid_rung_kill) == Some(rungs_done) && attempt == 1 {
+            if options.fault.as_ref().and_then(FaultPlan::mid_rung_kill) == Some(rungs_done) {
                 panic!("injected fault: solve killed at ladder rung {rungs_done}");
             }
             let target = (state.upper - 1).min(session.k());
             let started = Instant::now();
             let s = session.query(target, &budget);
             recorder.record_ladder_step(LadderStepTelemetry {
-                step: rungs_done,
+                step,
                 target,
                 outcome: match &s.answer {
                     SessionAnswer::Colorable(_) => "sat",
@@ -353,92 +350,94 @@ pub fn solve_supervised_instrumented(
                 retained_clauses: s.retained_clauses,
                 workers: s.workers,
             });
-            match s.answer {
+            step += 1;
+            let k_capped = match s.answer {
                 SessionAnswer::Colorable(c) => {
-                    rungs_done += 1;
                     let colors = c.num_colors().min(target);
                     if colors < state.lower {
+                        // A verified witness below a proven lower bound is
+                        // an invariant violation, not progress (§4i).
                         return Err(SolveError::BoundContradiction {
                             lower: state.lower,
                             upper: colors,
                             detail: format!(
-                                "supervised ladder witness at target {target} beat the lower bound"
+                                "ladder witness at target {target} beat the lower bound"
                             ),
                         });
                     }
                     state.upper = colors;
                     state.witness = c;
+                    // The bound is monotone; retire the colors above it as
+                    // permanent units so later queries run on a formula as
+                    // tight as a fresh encoding at their own width.
                     session.commit_upper_bound(state.upper);
-                    state.clauses = session.export_learned();
-                    supervision.write_checkpoint(graph, &options, &state, Some(&session), fault)?;
+                    false
                 }
                 SessionAnswer::NotColorable { .. } => {
-                    rungs_done += 1;
                     state.lower = (target + 1).max(state.lower);
-                    state.clauses = session.export_learned();
-                    supervision.write_checkpoint(graph, &options, &state, Some(&session), fault)?;
-                    if target == session.k() && state.lower < state.upper {
-                        // K-cap bracket: final, not retryable.
-                        let outcome = ChromaticOutcome {
-                            result: ChromaticResult::Bounded {
-                                lower: state.lower,
-                                upper: state.upper,
-                                witness: state.witness,
-                            },
-                            exhaust: None,
-                        };
-                        return Ok(supervision.finish(outcome, resumed));
-                    }
+                    target == session.k()
                 }
                 SessionAnswer::Unknown => {
-                    attempt_exhaust = s.exhaust;
+                    exhaust = s.exhaust;
                     break;
                 }
+            };
+            rungs_done += 1;
+            run.write_checkpoint(graph, &options, &state, Some(&session))?;
+            if k_capped && state.lower < state.upper {
+                // The encoding cannot express more than k colors; the
+                // remaining gap to the witness is a final K-cap bracket,
+                // not budget exhaustion, so no retry can close it.
+                return Ok(run.finish(state.into_outcome(None)));
             }
         }
-        let stalled = watchdog.map(Watchdog::disarm).unwrap_or(false);
-        if stalled {
-            supervision.watchdog_trips += 1;
+        if watchdog.is_some_and(Watchdog::disarm) {
+            run.watchdog_trips += 1;
         }
-
         if state.lower >= state.upper {
-            let outcome = ChromaticOutcome {
-                result: ChromaticResult::Exact {
-                    chromatic_number: state.upper,
-                    witness: state.witness,
-                },
-                exhaust: None,
-            };
-            return Ok(supervision.finish(outcome, resumed));
+            return Ok(run.finish(state.into_outcome(None)));
         }
-
-        // The attempt ran out (stall or genuine exhaustion). Carry the
-        // bracket and clauses into a reseeded, escalated retry — or give
-        // up honestly with everything proven so far.
+        // The attempt ran out (stall or genuine exhaustion): give up
+        // honestly with everything proven so far, or carry the bracket
+        // and clauses into a reseeded, escalated retry.
+        if run.attempts > u64::from(config.max_retries) {
+            return Ok(run.finish(state.into_outcome(exhaust)));
+        }
         state.clauses = session.export_learned();
-        drop(session);
-        if supervision.attempts > u64::from(config.max_retries) {
-            let outcome = ChromaticOutcome {
-                result: ChromaticResult::Bounded {
-                    lower: state.lower,
-                    upper: state.upper,
-                    witness: state.witness,
-                },
-                exhaust: attempt_exhaust,
-            };
-            return Ok(supervision.finish(outcome, resumed));
-        }
+        // Injected faults hit the first attempt only: retries must
+        // demonstrate genuine recovery.
+        options.fault = None;
     }
 }
 
 /// Mutable solve state carried across attempts (and restored from
 /// checkpoints): the bracket, its witness, and the clauses worth
 /// re-importing.
-struct SolveState {
+pub(crate) struct SolveState {
     lower: usize,
     upper: usize,
     witness: Coloring,
     clauses: Vec<(Vec<Lit>, u32)>,
+}
+
+impl From<ChromaticBounds> for SolveState {
+    fn from(b: ChromaticBounds) -> Self {
+        SolveState { lower: b.lower, upper: b.upper, witness: b.witness, clauses: Vec::new() }
+    }
+}
+
+impl SolveState {
+    /// The chromatic answer this state proves: exact once the bracket has
+    /// collapsed, the bracket otherwise.
+    fn into_outcome(self, exhaust: Option<ExhaustReason>) -> ChromaticOutcome {
+        let SolveState { lower, upper, witness, .. } = self;
+        let result = if lower >= upper {
+            ChromaticResult::Exact { chromatic_number: upper, witness }
+        } else {
+            ChromaticResult::Bounded { lower, upper, witness }
+        };
+        ChromaticOutcome { result, exhaust }
+    }
 }
 
 /// Supervision bookkeeping shared by every exit path.
@@ -449,20 +448,24 @@ struct Supervision<'a> {
     final_escalation: u64,
     config: &'a SupervisorConfig,
     recorder: Recorder,
+    /// Whether the solve started from a restored checkpoint.
+    resumed: bool,
+    /// Whether to record `supervisor` telemetry (off for the plain ladder).
+    report: bool,
 }
 
 impl Supervision<'_> {
-    /// Persists the current state when checkpointing is configured.
-    /// Write failures are hard errors: the caller asked for durability,
-    /// and pretending to have it would be the silent misbehavior this
-    /// module exists to remove.
+    /// Persists the current state when checkpointing is configured, with
+    /// the learned clauses `session` exports (the carried ones before the
+    /// first session exists). Write failures are hard errors: the caller
+    /// asked for durability, and pretending to have it would be the
+    /// silent misbehavior this module exists to remove.
     fn write_checkpoint(
         &mut self,
         graph: &Graph,
         options: &SolveOptions,
         state: &SolveState,
         session: Option<&ColoringSession<'_>>,
-        fault: Option<&FaultPlan>,
     ) -> Result<(), SolveError> {
         let Some(path) = &self.config.checkpoint_path else {
             return Ok(());
@@ -475,29 +478,39 @@ impl Supervision<'_> {
             upper: state.upper as u64,
             witness: Some(state.witness.colors().iter().map(|&c| c as u64).collect()),
             worker_seeds: session.map(ColoringSession::worker_seeds).unwrap_or_default(),
-            clauses: state.clauses.clone(),
+            clauses: match session {
+                Some(session) => session.export_learned(),
+                None => state.clauses.clone(),
+            },
         };
-        ckpt.save(path, fault)?;
+        ckpt.save(path, options.fault.as_ref())?;
         self.checkpoints_written += 1;
         Ok(())
     }
 
-    /// Records the supervision summary and assembles the outcome.
-    fn finish(self, outcome: ChromaticOutcome, resumed: bool) -> SupervisedOutcome {
-        self.recorder.record_supervisor(SupervisorTelemetry {
-            attempts: self.attempts,
-            watchdog_trips: self.watchdog_trips,
-            watchdog_secs: self.config.watchdog.map(|w| w.as_secs_f64()),
-            final_escalation: self.final_escalation,
-            checkpoints_written: self.checkpoints_written,
-            checkpoint_path: self.config.checkpoint_path.as_ref().map(|p| p.display().to_string()),
-        });
+    /// Records the supervision summary (supervised runs only) and
+    /// assembles the outcome.
+    fn finish(self, outcome: ChromaticOutcome) -> SupervisedOutcome {
+        if self.report {
+            self.recorder.record_supervisor(SupervisorTelemetry {
+                attempts: self.attempts,
+                watchdog_trips: self.watchdog_trips,
+                watchdog_secs: self.config.watchdog.map(|w| w.as_secs_f64()),
+                final_escalation: self.final_escalation,
+                checkpoints_written: self.checkpoints_written,
+                checkpoint_path: self
+                    .config
+                    .checkpoint_path
+                    .as_ref()
+                    .map(|p| p.display().to_string()),
+            });
+        }
         SupervisedOutcome {
             outcome,
             attempts: self.attempts,
             watchdog_trips: self.watchdog_trips,
             checkpoints_written: self.checkpoints_written,
-            resumed,
+            resumed: self.resumed,
         }
     }
 }
@@ -578,6 +591,15 @@ fn restore(
     // bracket can only be as good as or better than a fresh start —
     // never worse, and never below a provable clique bound.
     let fresh = bounds(graph);
+    // Clauses reference the dead session's encoding variables; they are
+    // only meaningful if the resumed session will rebuild the *same*
+    // encoding (same width). A mismatched width drops them — the bracket
+    // and witness still resume fine.
+    let clauses = if ckpt.ceiling == encoding_width(&fresh, options) as u64 {
+        ckpt.clauses.clone()
+    } else {
+        Vec::new()
+    };
     let stored_lower = usize::try_from(ckpt.lower)
         .map_err(|_| CheckpointError::Malformed("lower bound exceeds usize".to_string()))?;
     let lower = stored_lower.max(fresh.lower);
@@ -593,12 +615,6 @@ fn restore(
         ))
         .into());
     }
-    // Clauses reference the dead session's encoding variables; they are
-    // only meaningful if the resumed session will rebuild the *same*
-    // encoding (same ceiling). A mismatched ceiling drops them — the
-    // bracket and witness still resume fine.
-    let resumed_ceiling = fresh.upper.saturating_sub(1).max(1).min(options.k) as u64;
-    let clauses = if ckpt.ceiling == resumed_ceiling { ckpt.clauses.clone() } else { Vec::new() };
     let telemetry = ResumeTelemetry {
         from_path: path.display().to_string(),
         lower,
@@ -708,11 +724,16 @@ mod tests {
         assert_eq!(out.outcome.exact(), Some(5));
         assert!(out.checkpoints_written >= 2, "initial + per-rung checkpoints");
         // The final checkpoint resumes to the exact answer without any
-        // further search.
+        // further search, and the report still says it resumed.
+        let rec = Recorder::new();
         let resume = SupervisorConfig::new().with_resume_from(&path);
-        let back = solve_supervised(&graph, &options, &resume).unwrap();
+        let back =
+            solve_supervised(&graph, &options.clone().with_recorder(rec.clone()), &resume).unwrap();
         assert_eq!(back.outcome.exact(), Some(5));
         assert!(back.resumed);
+        let telemetry = rec.resume().expect("a resume from a final checkpoint is recorded");
+        assert_eq!((telemetry.lower, telemetry.upper), (5, 5));
+        assert!(rec.ladder_steps().is_empty(), "no rung is re-run");
         std::fs::remove_file(&path).unwrap();
     }
 

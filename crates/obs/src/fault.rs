@@ -6,11 +6,12 @@
 //! free of wall-clock or RNG state at trigger time — so a chaos test that
 //! fails replays identically under `--test-threads=1` or in a debugger.
 //!
-//! Production entry points accept no plan (the instrumented constructors,
-//! such as `PortfolioSession::with_instrumentation`, take
-//! `Option<&FaultPlan>` and every public wrapper passes `None`), so the
-//! injection machinery compiles away to a single `is_none` branch outside
-//! the solver hot path.
+//! Production runs carry no plan: `sbgc-core` reads one from
+//! `SolveOptions::fault` (`None` by default), and the instrumented
+//! constructors below it, such as `PortfolioSession::with_instrumentation`,
+//! take `Option<&FaultPlan>` while every public wrapper passes `None`. So
+//! the injection machinery compiles away to a single `is_none` branch
+//! outside the solver hot path.
 //!
 //! # Example
 //!
@@ -143,9 +144,9 @@ impl FaultPlan {
         }
     }
 
-    /// Schedules the supervised solve to die at the start of 0-based
-    /// ladder rung `rung`, after the previous rung's checkpoint was
-    /// written.
+    /// Schedules the chromatic ladder to die at the start of 0-based
+    /// decided rung `rung` (a query that ran out of budget does not
+    /// count), after the previous rung's checkpoint was written.
     pub fn with_mid_rung_kill(mut self, rung: u64) -> Self {
         self.mid_rung_kill = Some(rung);
         self

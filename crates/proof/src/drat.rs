@@ -153,6 +153,16 @@ pub trait ProofLogger: Send {
     fn log_delete(&mut self, lits: &[Lit]);
 }
 
+impl<L: ProofLogger + ?Sized> ProofLogger for Box<L> {
+    fn log_add(&mut self, lits: &[Lit]) {
+        (**self).log_add(lits);
+    }
+
+    fn log_delete(&mut self, lits: &[Lit]) {
+        (**self).log_delete(lits);
+    }
+}
+
 impl ProofLogger for DratProof {
     fn log_add(&mut self, lits: &[Lit]) {
         self.push_add(lits);

@@ -103,7 +103,7 @@ fn ca_encoding_reports_unchecked_not_fake_pass() {
     let mut enc = ColoringEncoding::new(&g, 3);
     sbgc_core::add_instance_independent_sbps(&mut enc, &g, SbpMode::Ca);
     assert!(!enc.formula().is_pure_cnf(), "CA must add PB constraints");
-    let (status, proof) = certify_unsat_formula(enc.formula(), &Budget::unlimited());
+    let (status, proof) = certify_unsat_formula(enc.formula(), &Budget::unlimited(), 1);
     match status {
         ProofStatus::Unchecked { reason } => assert!(reason.contains("PB"), "{reason}"),
         other => panic!("expected Unchecked, got {other}"),

@@ -17,7 +17,7 @@ use sbgc_core::{
 };
 use sbgc_formula::PbFormula;
 use sbgc_formula::{Lit, Objective, Var};
-use sbgc_graph::gen::{mycielski, queens};
+use sbgc_graph::gen::{gnp, mycielski, queens};
 use sbgc_graph::Graph;
 use sbgc_obs::{FaultPlan, Recorder};
 use sbgc_pb::{
@@ -192,6 +192,27 @@ fn mid_export_panic_leaves_the_clause_pool_usable() {
 }
 
 #[test]
+fn worker_panic_through_the_public_ladder_keeps_chi() {
+    // The fault plan rides in the options, so the public ladder entry
+    // point injects it too: worker 1 of the session's portfolio dies on
+    // entry, and the survivors must still prove χ(G(24, 0.5, 3)) = 7.
+    let g = gnp(24, 0.5, 3);
+    let options = SolveOptions::new(20).with_solver(SolverKind::Portfolio).without_heuristics();
+    let clean = chromatic_number_outcome(&g, &options).expect("valid inputs");
+    assert_eq!(clean.exact(), Some(7));
+
+    let rec = Recorder::new();
+    let plan = FaultPlan::new(4).with_worker_panic(1, 0);
+    let faulted = options.with_recorder(rec.clone()).with_fault_plan(plan);
+    let out = chromatic_number_outcome(&g, &faulted).expect("valid inputs");
+    assert_eq!(out.exact(), clean.exact(), "survivors reach the unfaulted χ");
+    assert!(out.witness().is_proper(&g));
+    let dead: Vec<_> = rec.workers().into_iter().filter(|w| w.failed.is_some()).collect();
+    assert!(!dead.is_empty(), "the casualty is in telemetry");
+    assert!(dead.iter().all(|w| w.index == 1), "only worker 1 died: {dead:?}");
+}
+
+#[test]
 fn killing_the_only_worker_degrades_to_unknown() {
     let formula = coloring_formula(&queens(5, 5), 7);
     let plan = FaultPlan::new(0).with_worker_panic(0, 0);
@@ -329,14 +350,14 @@ fn improper_heuristic_witness_is_rejected_at_the_trust_boundary() {
     // monochromatic edge). The trust boundary must reject it before it
     // can touch the shared incumbent, count the rejection, and retire the
     // worker — while the surviving workers keep the bracket sound.
-    use sbgc_core::{race_heuristics_instrumented, ChromaticBounds, Coloring};
+    use sbgc_core::{race_heuristics, ChromaticBounds, Coloring};
 
     let g = Graph::cycle(9); // χ = 3
     let loose = ChromaticBounds { lower: 1, upper: 9, witness: Coloring::new((0..9).collect()) };
     let rec = Recorder::new();
     let opts = SolveOptions::new(20).with_recorder(rec.clone());
     let plan = FaultPlan::new(21).with_improper_witness(0);
-    let out = race_heuristics_instrumented(&g, &opts, &loose, Some(&plan));
+    let out = race_heuristics(&g, &opts.clone().with_fault_plan(plan), &loose);
 
     assert!(out.rejected_witnesses >= 1, "the corrupted offer must be rejected");
     assert!(out.failed_workers >= 1, "an untrustworthy worker is retired");
@@ -355,7 +376,7 @@ fn improper_heuristic_witness_is_rejected_at_the_trust_boundary() {
     assert!(h.failed_workers >= 1);
 
     // And the sound result is untouched by re-running without the fault.
-    let healthy = race_heuristics_instrumented(&g, &opts, &loose, None);
+    let healthy = race_heuristics(&g, &opts, &loose);
     assert_eq!(healthy.rejected_witnesses, 0);
     assert_eq!(healthy.failed_workers, 0);
     assert_eq!(healthy.upper, 3);
@@ -365,7 +386,7 @@ fn improper_heuristic_witness_is_rejected_at_the_trust_boundary() {
 fn heuristic_faults_replay_deterministically() {
     // Chaos results are only diagnosable if a failing schedule replays
     // identically: same fault plan, same bracket, same tallies.
-    use sbgc_core::{race_heuristics_instrumented, ChromaticBounds, Coloring};
+    use sbgc_core::{race_heuristics, ChromaticBounds, Coloring};
 
     let g = mycielski(4); // triangle-free: the clique/χ gap never closes
     let n = g.num_vertices();
@@ -374,8 +395,9 @@ fn heuristic_faults_replay_deterministically() {
     // Worker 1 (PartialCol) panics on entry; worker 0 (TabuCol) has its
     // first offer corrupted into an improper coloring.
     let plan = FaultPlan::new(5).with_worker_panic(1, 0).with_improper_witness(0);
-    let first = race_heuristics_instrumented(&g, &opts, &loose, Some(&plan));
-    let second = race_heuristics_instrumented(&g, &opts, &loose, Some(&plan));
+    let faulted = opts.with_fault_plan(plan);
+    let first = race_heuristics(&g, &faulted, &loose);
+    let second = race_heuristics(&g, &faulted, &loose);
     assert_eq!(first.lower, second.lower);
     assert_eq!(first.upper, second.upper);
     assert_eq!(first.rejected_witnesses, second.rejected_witnesses);

@@ -17,8 +17,7 @@
 //!   (seeded and deterministic, so failures replay).
 
 use sbgc_core::{
-    solve_supervised, solve_supervised_instrumented, CheckpointError, SolveError, SolveOptions,
-    SolverKind, SupervisorConfig,
+    solve_supervised, CheckpointError, SolveError, SolveOptions, SolverKind, SupervisorConfig,
 };
 use sbgc_graph::gen::{gnp, mycielski, queens};
 use sbgc_obs::{FaultPlan, Recorder, RunReport};
@@ -41,7 +40,7 @@ fn killed_queen6_6_solve_resumes_and_skips_committed_rungs() {
     let config = SupervisorConfig::new().with_checkpoint_path(&path);
     let fault = FaultPlan::new(17).with_mid_rung_kill(1);
     let killed = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        solve_supervised_instrumented(&graph, &options, &config, Some(&fault))
+        solve_supervised(&graph, &options.clone().with_fault_plan(fault), &config)
     }));
     let message = match killed {
         Err(payload) => *payload.downcast::<String>().expect("panic carries its message"),
@@ -92,7 +91,7 @@ fn bit_flipped_checkpoint_is_rejected_with_a_typed_error() {
     let options = SolveOptions::new(8);
     let fault = FaultPlan::new(3).with_checkpoint_corruption(41);
     let config = SupervisorConfig::new().with_checkpoint_path(&path);
-    let out = solve_supervised_instrumented(&graph, &options, &config, Some(&fault))
+    let out = solve_supervised(&graph, &options.clone().with_fault_plan(fault), &config)
         .expect("corruption only bites at load time");
     assert_eq!(out.outcome.exact(), Some(5));
 
@@ -123,7 +122,7 @@ fn watchdog_restarts_a_stalled_race_and_still_completes() {
     let fault = FaultPlan::new(7).with_stalled_worker(0, 0);
     let config =
         SupervisorConfig::new().with_watchdog(Duration::from_millis(250)).with_max_retries(2);
-    let out = solve_supervised_instrumented(&graph, &options, &config, Some(&fault))
+    let out = solve_supervised(&graph, &options.with_fault_plan(fault), &config)
         .expect("a stall is recoverable, not an error");
     assert_eq!(out.outcome.exact(), Some(4), "the race still completes");
     assert!(out.watchdog_trips >= 1, "the stall must be detected: {out:?}");
@@ -134,6 +133,46 @@ fn watchdog_restarts_a_stalled_race_and_still_completes() {
     assert_eq!(sup.watchdog_trips, out.watchdog_trips);
     assert!(sup.final_escalation >= 2, "retries run with escalated budgets: {sup:?}");
     assert_eq!(sup.watchdog_secs, Some(0.25));
+
+    // Every query gets its own step id across attempts: the stalled
+    // query that ended attempt 1 and the retry's first query differ.
+    let steps: Vec<u64> = rec.ladder_steps().iter().map(|s| s.step).collect();
+    let expected: Vec<u64> = (0..steps.len() as u64).collect();
+    assert_eq!(steps, expected, "ladder step ids must number every query");
+}
+
+#[test]
+fn resumed_clauses_are_reimported_only_at_the_same_encoding_width() {
+    // χ(queen6_6) = 7 and DSATUR needs 9 colors, so a session encodes at
+    // width 8 under a cap of 9 and at width 7 under a cap of 7. Variable
+    // x[v,c] is numbered v·K + c, so clauses learned at one width name
+    // other literals at another: a resume under the same cap re-imports
+    // them, a resume that changes the width must drop them.
+    let graph = queens(6, 6);
+    let path = scratch("width");
+    let options = SolveOptions::new(9).without_heuristics();
+    let config = SupervisorConfig::new().with_checkpoint_path(&path);
+    let fault = FaultPlan::new(5).with_mid_rung_kill(1);
+    let killed = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        solve_supervised(&graph, &options.with_fault_plan(fault), &config)
+    }));
+    assert!(killed.is_err(), "the injected kill must unwind");
+
+    for (k, same_width) in [(9, true), (7, false)] {
+        let rec = Recorder::new();
+        let options = SolveOptions::new(k).without_heuristics().with_recorder(rec.clone());
+        let resume = SupervisorConfig::new().with_resume_from(&path);
+        let out = solve_supervised(&graph, &options, &resume).expect("checkpoint accepted");
+        assert_eq!(out.outcome.exact(), Some(7), "k = {k}: resumed χ agrees");
+        let telemetry = rec.resume().expect("resume telemetry recorded");
+        assert!(telemetry.clauses_offered > 0, "k = {k}: the checkpoint carries clauses");
+        if same_width {
+            assert!(telemetry.clauses_imported > 0, "same width re-imports: {telemetry:?}");
+        } else {
+            assert_eq!(telemetry.clauses_imported, 0, "another width drops: {telemetry:?}");
+        }
+    }
+    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
@@ -159,7 +198,7 @@ fn random_gnp_kill_and_resume_agrees_with_the_uninterrupted_solve() {
         let kill_rung = seed % 3; // seeded, spread over early rungs
         let fault = FaultPlan::new(seed).with_mid_rung_kill(kill_rung);
         let killed = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            solve_supervised_instrumented(&graph, &options, &config, Some(&fault))
+            solve_supervised(&graph, &options.clone().with_fault_plan(fault), &config)
         }));
         let resumed = match killed {
             // The kill fired mid-ladder: resume from the checkpoint.
